@@ -24,7 +24,6 @@ from .association import (
     Regime,
     regime_threshold,
     small_cell_shadow_rate,
-    social_welfare,
     solve_association,
 )
 from .monopoly import (

@@ -9,7 +9,6 @@ small-cell bandwidth is scarce, spill into macro-cells -- the mixed regime).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 from .core import (
@@ -186,17 +185,3 @@ def solve_association(profile: AllocationProfile, params: MarketParams) -> Assoc
         revenue_per_sp=revenues,
         social_welfare=sw,
     )
-
-
-def social_welfare(outcome: AssociationOutcome, params: MarketParams) -> float:
-    """Sum utility over all users; zero-mass services contribute nothing."""
-    alpha = params.alpha
-    total = 0.0
-    for mass, rate in (
-        (outcome.k_macro, outcome.r_macro),
-        (outcome.k_small, outcome.r_small),
-        (outcome.k_unlicensed, outcome.r_unlicensed),
-    ):
-        if mass > 0:
-            total += mass * utility(rate, alpha)
-    return total

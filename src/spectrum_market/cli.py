@@ -188,7 +188,7 @@ def cmd_sweep(raw: dict, params: MarketParams, grid_override=None, jobs: int = 1
     _require_keys(sec, "sweep", ["total_bandwidth"], ["series", "grid"])
     B = sec["total_bandwidth"]
     series = sec.get("series", list(welfare.DEFAULT_SERIES))
-    points = grid_override or sec.get("grid", 201)
+    points = grid_override if grid_override is not None else sec.get("grid", 201)
     grid = welfare.default_grid(B, points)
 
     if jobs > 1:
@@ -335,12 +335,9 @@ def main(argv=None) -> int:
         report = handler(raw, params)
         _emit(json.dumps(report, indent=2) + "\n", args.out)
         return 0
-    except (ScenarioError, DomainError, MarketModelError) as exc:
-        if isinstance(exc, SolverConsistencyError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
+    except MarketModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_SOLVER if isinstance(exc, SolverConsistencyError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ forms. Everything here is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 # Curvature values closer than this to 0 or 1 hit the degenerate
@@ -55,6 +57,13 @@ class MarketParams:
     lambda_u: float
 
     def __post_init__(self):
+        values = (self.alpha, self.n_fixed, self.n_mobile, self.r0, self.lambda_s, self.lambda_u)
+        try:
+            finite = all(map(math.isfinite, values))
+        except (TypeError, OverflowError):  # not a real number, or beyond float range
+            finite = False
+        if not finite:
+            raise DomainError(f"parameters must be finite real numbers, got {self}")
         if not ALPHA_MIN <= self.alpha <= ALPHA_MAX:
             raise DomainError(
                 f"alpha must be in [{ALPHA_MIN}, {ALPHA_MAX}], got {self.alpha}"
@@ -111,3 +120,82 @@ def kappa(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     return alpha ** (1.0 / (1.0 - alpha))
+
+
+def brentq(f, a, b, args=(), *, xtol, rtol=4 * sys.float_info.epsilon):
+    """Root of f(x, *args) in a sign-changing bracket [a, b] (Brent 1973, ch. 4).
+
+    Step for step the classic C ``brentq``: stops once the bracket is below
+    xtol + rtol*|x|; raises SolverConsistencyError on a same-sign bracket, a
+    NaN value of f, or no convergence in 100 iterations.
+    """
+    def value(x):
+        fx = f(x, *args)
+        if fx != fx:
+            raise SolverConsistencyError(f"root finder met NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise SolverConsistencyError(f"f has one sign on [{xpre!r}, {xcur!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:  # where C divides by zero it gets inf or nan and bisects
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise SolverConsistencyError(f"root finder did not converge in 100 steps (x={xcur!r})")
+
+
+def grid_golden_max(f, top: float, points: int, tol: float):
+    """Maximize unimodal f on [0, top]: the best of a uniform grid of ``points``
+    (ties to the smallest x), refined by golden-section search between its
+    neighbours down to width ``tol``.  Returns (refined x, grid x, f(grid x))."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    xs = [top * k / (points - 1) for k in range(points)]
+    vals = [f(x) for x in xs]
+    k_best = max(range(points), key=lambda k: (vals[k], -k))
+    lo = xs[max(k_best - 1, 0)]
+    hi = xs[min(k_best + 1, points - 1)]
+    c = hi - inv_phi * (hi - lo)
+    d = lo + inv_phi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi), xs[k_best], vals[k_best]

@@ -12,9 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
-from .core import DomainError, MarketParams, SolverConsistencyError, kappa
+from .core import DomainError, MarketParams, SolverConsistencyError, brentq
 from .association import (
     AllocationProfile,
     AssociationOutcome,
@@ -106,15 +104,18 @@ def _welfare_foc(b_s: float, B: float, c_u: float, params: MarketParams,
 def _solve(B, b_unlicensed, params, objective) -> MonopolySolution:
     if B <= 0:
         raise DomainError("total bandwidth must be positive")
+    if not b_unlicensed >= 0:
+        raise DomainError("unlicensed bandwidth must be non-negative")
     c_u = params.lambda_u * b_unlicensed * params.r0
     if objective is Objective.REVENUE:
         cutoff, foc = threshold_rev(B, params), _revenue_foc
     else:
         cutoff, foc = threshold_sw(B, params), _welfare_foc
 
-    if c_u >= cutoff:
+    boundary = c_u >= cutoff
+    if boundary:
         b_s = 0.0
-        boundary = True
+        b_m = B - b_s
     else:
         eps = _EDGE * B
         lo, hi = eps, B - eps
@@ -127,6 +128,7 @@ def _solve(B, b_unlicensed, params, objective) -> MonopolySolution:
             )
         if f_hi < 0:
             b_s = brentq(foc, lo, hi, args=(B, c_u, params), xtol=1e-15, rtol=8.9e-16)
+            b_m = B - b_s
         else:
             # Near-linear utility: the root sits at a macro bandwidth far below
             # floating-point resolution of B - b_s, so search log(b_macro).
@@ -140,26 +142,14 @@ def _solve(B, b_unlicensed, params, objective) -> MonopolySolution:
                     "first-order condition has no root above the "
                     "representable macro bandwidth range"
                 )
-            t = brentq(g, t_lo, t_hi, xtol=1e-13, rtol=8.9e-16)
-            b_m = math.exp(t)
-            profile = AllocationProfile([(b_m, B - b_m)], b_unlicensed)
-            outcome = solve_association(profile, params)
-            assert outcome.regime is Regime.SEPARATE_SERVICE
-            return MonopolySolution(
-                objective=objective,
-                b_macro=b_m,
-                b_small=B - b_m,
-                outcome=outcome,
-                boundary=False,
-            )
-        boundary = False
+            b_m = math.exp(brentq(g, t_lo, t_hi, xtol=1e-13, rtol=8.9e-16))
+            b_s = B - b_m
 
-    profile = AllocationProfile([(B - b_s, b_s)], b_unlicensed)
-    outcome = solve_association(profile, params)
+    outcome = solve_association(AllocationProfile([(b_m, b_s)], b_unlicensed), params)
     assert outcome.regime is Regime.SEPARATE_SERVICE
     return MonopolySolution(
         objective=objective,
-        b_macro=B - b_s,
+        b_macro=b_m,
         b_small=b_s,
         outcome=outcome,
         boundary=boundary,

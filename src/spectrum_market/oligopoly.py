@@ -16,9 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .core import DomainError, MarketParams, SolverConsistencyError
+from .core import brentq, grid_golden_max
 from .association import (
     AllocationProfile,
     AssociationOutcome,
@@ -26,7 +25,6 @@ from .association import (
     small_cell_shadow_rate,
     solve_association,
 )
-from . import monopoly
 
 # Candidate small-cell bandwidths at or below this fraction of a provider's
 # total count as the macro-only boundary rather than an interior solution.
@@ -189,55 +187,52 @@ def _build_result(bandwidths, b_small, pinned, b_unlicensed, params, residuals):
     )
 
 
+def _macro_only(bandwidths, b_unlicensed, c_u, params):
+    """The MNE: every provider pinned to macro-only service."""
+    n = len(bandwidths)
+    b_small = [0.0] * n
+    pinned = set(range(n))
+    residuals = _check_candidate(bandwidths, b_small, pinned, c_u, params)
+    if residuals is None:
+        # tolerance skirmish exactly at the bound; treat as satisfied
+        residuals = [0.0] * n
+    return _build_result(bandwidths, b_small, pinned, b_unlicensed, params, residuals)
+
+
 def solve_nash(bandwidths, b_unlicensed: float, params: MarketParams) -> EquilibriumResult:
     """Compute the unique bandwidth-stage Nash equilibrium."""
     bandwidths = [float(b) for b in bandwidths]
     if not bandwidths or any(b <= 0 for b in bandwidths):
         raise DomainError("every provider needs strictly positive bandwidth")
+    if not b_unlicensed >= 0:
+        raise DomainError("unlicensed bandwidth must be non-negative")
     c_u = params.lambda_u * b_unlicensed * params.r0
     n = len(bandwidths)
 
-    if mne_condition(bandwidths, b_unlicensed, params):
-        b_small = [0.0] * n
-        pinned = set(range(n))
-        residuals = _check_candidate(bandwidths, b_small, pinned, c_u, params)
-        if residuals is None:
-            # tolerance skirmish exactly at the bound; treat as satisfied
-            residuals = [0.0] * n
-        return _build_result(bandwidths, b_small, pinned, b_unlicensed, params, residuals)
+    if c_u >= mne_capacity_bound(bandwidths, params):
+        return _macro_only(bandwidths, b_unlicensed, c_u, params)
 
-    # Providers exit small-cells smallest-bandwidth first.
+    # Providers exit small-cells smallest-bandwidth first.  Should that
+    # monotone order fail (never expected), every subset of up to
+    # _MAX_ENUM_SPS providers is tried outright.
     order = sorted(range(n), key=lambda i: (bandwidths[i], i))
-    for n_pinned in range(n):
-        pinned = set(order[:n_pinned])
+    candidates = (order[:n_pinned] for n_pinned in range(n))
+    if n <= _MAX_ENUM_SPS:
+        candidates = itertools.chain(candidates, (
+            c for n_pinned in range(n) for c in itertools.combinations(range(n), n_pinned)
+        ))
+    for pinned in candidates:
+        pinned = set(pinned)
         active = [i for i in range(n) if i not in pinned]
         b_small = _try_active_set(bandwidths, active, c_u, params)
         if b_small is None:
             continue
         residuals = _check_candidate(bandwidths, b_small, pinned, c_u, params)
         if residuals is not None:
-            return _build_result(
-                bandwidths, b_small, pinned, b_unlicensed, params, residuals
-            )
-
-    # Monotone pinning failed (never expected); enumerate subsets outright.
-    if n > _MAX_ENUM_SPS:
-        raise SolverConsistencyError(
-            f"no consistent equilibrium assignment found for {n} providers"
-        )
-    for n_pinned in range(n):
-        for pinned in itertools.combinations(range(n), n_pinned):
-            pinned = set(pinned)
-            active = [i for i in range(n) if i not in pinned]
-            b_small = _try_active_set(bandwidths, active, c_u, params)
-            if b_small is None:
-                continue
-            residuals = _check_candidate(bandwidths, b_small, pinned, c_u, params)
-            if residuals is not None:
-                return _build_result(
-                    bandwidths, b_small, pinned, b_unlicensed, params, residuals
-                )
-    raise SolverConsistencyError("no consistent equilibrium assignment found")
+            return _build_result(bandwidths, b_small, pinned, b_unlicensed, params, residuals)
+    raise SolverConsistencyError(
+        f"no consistent equilibrium assignment found for {n} providers"
+    )
 
 
 def best_response(
@@ -268,27 +263,7 @@ def best_response(
         return out.revenue_per_sp[sp_index]
 
     # keep a sliver of macro bandwidth so mobile users stay servable
-    top = b_i * (1.0 - 1e-9)
-    xs = [top * k / (grid_points - 1) for k in range(grid_points)]
-    vals = [revenue(x) for x in xs]
-    k_best = max(range(grid_points), key=lambda k: (vals[k], -k))
-    lo = xs[max(k_best - 1, 0)]
-    hi = xs[min(k_best + 1, grid_points - 1)]
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = revenue(c), revenue(d)
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = revenue(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = revenue(d)
-    return 0.5 * (lo + hi)
+    return grid_golden_max(revenue, b_i * (1.0 - 1e-9), grid_points, tol)[0]
 
 
 def symmetric_equilibrium(
@@ -299,17 +274,13 @@ def symmetric_equilibrium(
         raise DomainError("need at least one provider")
     if B <= 0:
         raise DomainError("per-provider bandwidth must be positive")
+    if not b_unlicensed >= 0:
+        raise DomainError("unlicensed bandwidth must be non-negative")
     c_u = params.lambda_u * b_unlicensed * params.r0
-    bound = symmetric_mne_bound(n, B, params)
     bandwidths = [B] * n
 
-    if c_u >= bound:
-        b_small = [0.0] * n
-        pinned = set(range(n))
-        residuals = _check_candidate(bandwidths, b_small, pinned, c_u, params)
-        if residuals is None:
-            residuals = [0.0] * n
-        return _build_result(bandwidths, b_small, pinned, b_unlicensed, params, residuals)
+    if c_u >= symmetric_mne_bound(n, B, params):
+        return _macro_only(bandwidths, b_unlicensed, c_u, params)
 
     a = params.alpha
     kap = params.kappa

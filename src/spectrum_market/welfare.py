@@ -10,12 +10,10 @@ and locates the kink where providers abandon small-cells.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .core import ALPHA_MAX, ALPHA_MIN, DomainError, MarketParams, utility
+from .core import brentq, grid_golden_max
 from . import monopoly, oligopoly
 
 # Labels for the market scenarios a sweep can trace.
@@ -155,31 +153,13 @@ def optimal_split(B: float, n_sps: int, params: MarketParams,
         eq = oligopoly.symmetric_equilibrium(n_sps, b_l / n_sps, b_u, params)
         return eq.outcome.social_welfare
 
-    hi = B * (1.0 - 1e-9)
-    xs = [hi * k / (grid_points - 1) for k in range(grid_points)]
-    vals = [welfare_at(x) for x in xs]
-    k_best = max(range(grid_points), key=lambda k: (vals[k], -k))
-
-    lo = xs[max(k_best - 1, 0)]
-    up = xs[min(k_best + 1, grid_points - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = up - inv_phi * (up - lo)
-    d = lo + inv_phi * (up - lo)
-    fc, fd = welfare_at(c), welfare_at(d)
-    while up - lo > 1e-9 * B:
-        if fc > fd:
-            up, d, fd = d, c, fc
-            c = up - inv_phi * (up - lo)
-            fc = welfare_at(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (up - lo)
-            fd = welfare_at(d)
-    b_u_star = 0.5 * (lo + up)
+    b_u_star, x_grid, w_grid = grid_golden_max(
+        welfare_at, B * (1.0 - 1e-9), grid_points, 1e-9 * B
+    )
     w_star = welfare_at(b_u_star)
     # the grid endpoints (notably b_u = 0) may beat the refined interior point
-    if vals[k_best] > w_star:
-        b_u_star, w_star = xs[k_best], vals[k_best]
+    if w_grid > w_star:
+        b_u_star, w_star = x_grid, w_grid
     if b_u_star < 1e-9 * B:
         b_u_star = 0.0
         w_star = welfare_at(0.0)
@@ -254,5 +234,7 @@ def welfare_sweep(B: float, b_u_grid, series, params: MarketParams) -> WelfareCu
 
 def default_grid(B: float, points: int = 201):
     """Uniform sweep grid on [0, B), inset at the top to keep licensed > 0."""
+    if points < 2:
+        raise DomainError(f"a sweep grid needs at least 2 points, got {points}")
     hi = B - 1e-6
     return [hi * k / (points - 1) for k in range(points)]

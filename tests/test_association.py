@@ -12,7 +12,6 @@ from spectrum_market.association import (
     Regime,
     regime_threshold,
     small_cell_shadow_rate,
-    social_welfare,
     solve_association,
 )
 
@@ -154,9 +153,16 @@ class TestRandomizedInvariants:
                     params.kappa * out.r_macro, rel=1e-9
                 )
 
-            # welfare recomputation matches
-            assert social_welfare(out, params) == pytest.approx(
-                out.social_welfare, rel=1e-12
+            # welfare recomputed from the masses and rates
+            sw = sum(
+                mass * utility(rate, params.alpha)
+                for mass, rate in (
+                    (out.k_macro, out.r_macro),
+                    (out.k_small, out.r_small),
+                    (out.k_unlicensed, out.r_unlicensed),
+                )
+                if mass > 0
             )
+            assert sw == pytest.approx(out.social_welfare, rel=1e-12)
             n_t_checked += 1
         assert n_t_checked == 1000

@@ -79,6 +79,20 @@ class TestValidation:
     def test_unreadable_file(self, capsys):
         assert cli.main(["planner", "--scenario", "/nonexistent.json"]) == 2
 
+    def test_string_param(self, tmp_path, capsys):
+        raw = _scenario(associate={"per_sp": [[1, 1]]})
+        raw["params"]["alpha"] = "0.5"
+        path = _write(tmp_path, "s.json", raw)
+        assert cli.main(["associate", "--scenario", path]) == 2
+        assert "parameters must be finite real numbers" in capsys.readouterr().err
+
+    def test_negative_unlicensed_bandwidth(self, tmp_path, capsys):
+        path = _write(tmp_path, "s.json", _scenario(
+            nash={"bandwidths": [1.0, 1.0], "b_unlicensed": -1.0}
+        ))
+        assert cli.main(["nash", "--scenario", path]) == 2
+        assert "unlicensed bandwidth must be non-negative" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_monopoly_report(self, tmp_path, capsys):
@@ -175,6 +189,14 @@ class TestSweep:
                          "--grid", "11"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["grid"]) == 11
+
+    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
+    def test_grid_below_two_points(self, tmp_path, capsys, grid):
+        path = self._sweep_scenario(tmp_path)
+        assert cli.main(["sweep", "--scenario", path, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 2 points" in captured.err
 
 
 class TestSeedFigures:

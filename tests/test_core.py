@@ -1,11 +1,18 @@
 import math
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import spectrum_market
 from spectrum_market.core import (
     DomainError,
     MarketParams,
+    SolverConsistencyError,
+    brentq,
     demand,
     kappa,
     net_payoff,
@@ -92,6 +99,10 @@ def test_domain_errors():
         dict(lambda_s=1.0),
         dict(lambda_s=0.5),
         dict(lambda_u=0.0),
+        dict(alpha="0.5"),
+        dict(n_fixed=math.nan),
+        dict(r0=math.inf),
+        dict(lambda_s=None),
     ],
 )
 def test_market_params_validation(kwargs):
@@ -104,3 +115,77 @@ def test_market_params_validation(kwargs):
 def test_market_params_kappa_property():
     p = MarketParams(alpha=0.5, n_fixed=50, n_mobile=50, r0=50, lambda_s=4, lambda_u=3)
     assert p.kappa == pytest.approx(0.25)
+
+
+# (xtol, rtol) pairs passed to brentq by monopoly, oligopoly and welfare;
+# None is the default rtol.
+PACKAGE_TOLERANCES = [
+    (1e-15, 8.9e-16), (1e-13, 8.9e-16), (1e-14, 8.9e-16), (1e-16, 8.9e-16),
+    (1e-14, None), (1e-10, None),
+]
+
+
+def _root_problems(rng):
+    """Sign-changing functions of several shapes and scales, with brackets."""
+    for _ in range(40):
+        r, s = rng.uniform(-4, 4), 10 ** rng.uniform(-150, 150)
+        k, p = 10 ** rng.uniform(-2, 2), rng.uniform(0.2, 4.0)
+        a, b = rng.uniform(-9, -5), rng.uniform(5, 9)
+        if rng.random() < 0.5:
+            a, b = b, a
+        yield lambda x: s * ((x - r) ** 3 + k * (x - r)), a, b
+        yield lambda x: s * math.tanh(k * (x - r)), a, b
+        yield lambda x: math.copysign(abs(x - r) ** p, x - r), a, b
+        yield lambda x: math.exp(min(k * (x - r), 700.0)) - 1.0, a, b
+
+
+@pytest.mark.parametrize("xtol,rtol", PACKAGE_TOLERANCES)
+def test_brentq_matches_scipy(xtol, rtol):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    kw = {"xtol": xtol} if rtol is None else {"xtol": xtol, "rtol": rtol}
+    for f, a, b in _root_problems(random.Random(int(-math.log10(xtol)))):
+        calls = [0, 0]
+
+        def counted(i):
+            def g(x):
+                calls[i] += 1
+                return f(x)
+            return g
+
+        try:
+            want = scipy_optimize.brentq(counted(1), a, b, **kw)
+        except RuntimeError:  # no convergence in 100 iterations
+            with pytest.raises(SolverConsistencyError):
+                brentq(counted(0), a, b, **kw)
+        else:
+            assert brentq(counted(0), a, b, **kw) == want
+        assert calls[0] == calls[1]
+
+
+def test_brentq_args_and_exact_endpoint():
+    assert brentq(lambda x, c: x * x - c, 0.0, 3.0, args=(2.0,), xtol=1e-15) == pytest.approx(
+        math.sqrt(2.0), rel=1e-15
+    )
+    assert brentq(lambda x: x - 1.0, 1.0, 5.0, xtol=1e-12) == 1.0
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: x * x + 1.0, -1.0, 1.0),                  # same-sign bracket
+    (lambda x: math.nan if x > 0.3 else -1.0, 0.0, 1.0),  # NaN value
+    (lambda x: 1.0 if x > 0.1 else -1.0, -1e300, 1e300),  # 100 bisections fall short
+])
+def test_brentq_failures_raise_solver_consistency_error(f, a, b):
+    with pytest.raises(SolverConsistencyError):
+        brentq(f, a, b, xtol=1e-300)
+
+
+def test_import_loads_neither_scipy_nor_numpy():
+    src = str(Path(spectrum_market.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import spectrum_market; "
+        "print(sorted({'scipy', 'numpy'} & {m.split('.')[0] for m in sys.modules}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -4,7 +4,7 @@ import pytest
 
 from spectrum_market.core import DomainError
 from spectrum_market.association import AllocationProfile, Regime
-from spectrum_market.monopoly import optimize_revenue, threshold_rev
+from spectrum_market.monopoly import optimize_revenue, optimize_welfare, threshold_rev
 from spectrum_market.oligopoly import (
     EquilibriumClass,
     asymptotic_limit,
@@ -49,6 +49,18 @@ class TestMneCondition:
     def test_rejects_nonpositive_bandwidth(self, base_params):
         with pytest.raises(DomainError):
             mne_condition([1.0, 0.0], 1.0, base_params)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda b_u, p: solve_nash([1.0, 1.0], b_u, p),
+    lambda b_u, p: symmetric_equilibrium(2, 1.0, b_u, p),
+    lambda b_u, p: optimize_revenue(2.0, b_u, p),
+    lambda b_u, p: optimize_welfare(2.0, b_u, p),
+], ids=["solve_nash", "symmetric_equilibrium", "optimize_revenue", "optimize_welfare"])
+def test_rejects_negative_unlicensed_bandwidth(solve, base_params):
+    # a negative capacity would otherwise reach a complex power
+    with pytest.raises(DomainError, match="unlicensed"):
+        solve(-0.5, base_params)
 
 
 class TestSolveNash:
