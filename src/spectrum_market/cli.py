@@ -7,8 +7,8 @@ consistency failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -84,6 +84,24 @@ def _section(raw: dict, name: str) -> dict:
     return raw[name]
 
 
+def _number(value, where: str, kind=(int, float)):
+    """``value`` if it is a finite JSON number of ``kind``; bools are not."""
+    try:  # math.isfinite overflows on an integer beyond float range
+        if isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    noun = "integer" if kind is int else "number"
+    raise ScenarioError(f"{where}: expected a finite {noun}, got {value!r}")
+
+
+def _numbers(values, where: str, depth: int = 1) -> list:
+    """``values`` if it is a list (nested ``depth`` deep) of finite numbers."""
+    if not isinstance(values, list):
+        raise ScenarioError(f"{where}: expected a list, got {values!r}")
+    return [_numbers(v, where, depth - 1) if depth > 1 else _number(v, where) for v in values]
+
+
 def _outcome_dict(outcome) -> dict:
     return {
         "regime": outcome.regime.value,
@@ -111,8 +129,10 @@ def cmd_associate(raw: dict, params: MarketParams) -> dict:
     sec = _section(raw, "associate")
     _require_keys(sec, "associate", ["per_sp"], ["b_unlicensed"])
     try:
-        profile = AllocationProfile(sec["per_sp"], sec.get("b_unlicensed", 0.0))
-    except (DomainError, TypeError, ValueError) as exc:
+        per_sp = _numbers(sec["per_sp"], "associate.per_sp", depth=2)
+        b_u = _number(sec.get("b_unlicensed", 0.0), "associate.b_unlicensed")
+        profile = AllocationProfile(per_sp, b_u)
+    except (DomainError, ValueError) as exc:
         raise ScenarioError(f"associate: {exc}") from exc
     outcome = solve_association(profile, params)
     return {
@@ -125,11 +145,12 @@ def cmd_monopoly(raw: dict, params: MarketParams) -> dict:
     sec = _section(raw, "monopoly")
     _require_keys(sec, "monopoly", ["total_bandwidth"], ["b_unlicensed", "objective"])
     objective = sec.get("objective", "revenue")
-    b_u = sec.get("b_unlicensed", 0.0)
+    B = _number(sec["total_bandwidth"], "monopoly.total_bandwidth")
+    b_u = _number(sec.get("b_unlicensed", 0.0), "monopoly.b_unlicensed")
     if objective == "revenue":
-        sol = monopoly.optimize_revenue(sec["total_bandwidth"], b_u, params)
+        sol = monopoly.optimize_revenue(B, b_u, params)
     elif objective == "social_welfare":
-        sol = monopoly.optimize_welfare(sec["total_bandwidth"], b_u, params)
+        sol = monopoly.optimize_welfare(B, b_u, params)
     else:
         raise ScenarioError(f"monopoly: unknown objective {objective!r}")
     return {
@@ -147,9 +168,9 @@ def cmd_monopoly(raw: dict, params: MarketParams) -> dict:
 def cmd_nash(raw: dict, params: MarketParams) -> dict:
     sec = _section(raw, "nash")
     _require_keys(sec, "nash", ["bandwidths"], ["b_unlicensed"])
-    result = oligopoly.solve_nash(
-        sec["bandwidths"], sec.get("b_unlicensed", 0.0), params
-    )
+    bandwidths = _numbers(sec["bandwidths"], "nash.bandwidths")
+    b_u = _number(sec.get("b_unlicensed", 0.0), "nash.b_unlicensed")
+    result = oligopoly.solve_nash(bandwidths, b_u, params)
     return {
         "classification": result.classification.value,
         "macro_only_set": sorted(result.macro_only_set),
@@ -162,7 +183,8 @@ def cmd_nash(raw: dict, params: MarketParams) -> dict:
 def cmd_planner(raw: dict, params: MarketParams) -> dict:
     sec = _section(raw, "planner")
     _require_keys(sec, "planner", ["total_bandwidth"])
-    sol = welfare.planner_optimal(sec["total_bandwidth"], params)
+    B = _number(sec["total_bandwidth"], "planner.total_bandwidth")
+    sol = welfare.planner_optimal(B, params)
     report = {
         "case": sol.case_label.value,
         "b_macro": sol.b_macro,
@@ -178,36 +200,14 @@ def cmd_planner(raw: dict, params: MarketParams) -> dict:
     return report
 
 
-def _sweep_point(args):
-    B, b_u, label, params = args
-    return welfare.market_welfare(B, b_u, None, params, series=label)
-
-
-def cmd_sweep(raw: dict, params: MarketParams, grid_override=None, jobs: int = 1):
+def cmd_sweep(raw: dict, params: MarketParams, grid_override=None):
     sec = _section(raw, "sweep")
     _require_keys(sec, "sweep", ["total_bandwidth"], ["series", "grid"])
-    B = sec["total_bandwidth"]
+    B = _number(sec["total_bandwidth"], "sweep.total_bandwidth")
     series = sec.get("series", list(welfare.DEFAULT_SERIES))
     points = grid_override if grid_override is not None else sec.get("grid", 201)
-    grid = welfare.default_grid(B, points)
-
-    if jobs > 1:
-        tasks = [(B, b_u, label, params) for label in series for b_u in grid]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            flat = list(pool.map(_sweep_point, tasks, chunksize=16))
-        values = {
-            label: flat[i * len(grid):(i + 1) * len(grid)]
-            for i, label in enumerate(series)
-        }
-        kinks = {
-            label: welfare.find_kink(label, B, params)
-            for label in series
-            if label != welfare.SERIES_PLANNER
-        }
-        curve = welfare.WelfareCurve(grid=tuple(grid), series=values, kinks=kinks)
-    else:
-        curve = welfare.welfare_sweep(B, grid, series, params)
-    return curve, series
+    grid = welfare.default_grid(B, _number(points, "sweep.grid", int))
+    return welfare.welfare_sweep(B, grid, series, params), series
 
 
 def sweep_csv(curve, series) -> str:
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=None)
         if name == "sweep":
             p.add_argument("--grid", type=int, default=None)
-            p.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -320,7 +319,7 @@ def main(argv=None) -> int:
         raw = load_scenario(args.scenario)
         params = scenario_params(raw)
         if args.command == "sweep":
-            curve, series = cmd_sweep(raw, params, args.grid, args.jobs)
+            curve, series = cmd_sweep(raw, params, args.grid)
             if (args.format or "csv") == "csv":
                 _emit(sweep_csv(curve, series), args.out)
             else:

@@ -180,6 +180,8 @@ def grid_golden_max(f, top: float, points: int, tol: float):
     """Maximize unimodal f on [0, top]: the best of a uniform grid of ``points``
     (ties to the smallest x), refined by golden-section search between its
     neighbours down to width ``tol``.  Returns (refined x, grid x, f(grid x))."""
+    if points < 2:
+        raise DomainError(f"a search grid needs at least 2 points, got {points}")
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     xs = [top * k / (points - 1) for k in range(points)]
     vals = [f(x) for x in xs]

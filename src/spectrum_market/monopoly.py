@@ -69,35 +69,19 @@ def threshold_sw(B: float, params: MarketParams) -> float:
     return params.kappa * params.n_fixed * B * params.r0 * factor / params.n_mobile
 
 
-def _revenue_foc(b_s: float, B: float, c_u: float, params: MarketParams,
-                 b_m: float | None = None) -> float:
-    """Marginal revenue of small-cell bandwidth minus that of macro bandwidth.
-
-    ``b_m`` overrides the macro bandwidth when B - b_s would cancel to zero.
-    """
+def _foc(b_s: float, B: float, c_u: float, params: MarketParams, w: float,
+         b_m: float | None = None) -> float:
+    """Marginal objective of small-cell minus macro bandwidth; ``w`` weighs the
+    utility term (1 - alpha for revenue, 1.0 for welfare) and ``b_m`` overrides
+    the macro bandwidth when B - b_s would cancel to zero."""
     a = params.alpha
     kap = params.kappa
     r_m = (B - b_s if b_m is None else b_m) * params.r0 / params.n_mobile
     r_s = (kap * params.lambda_s * b_s * params.r0 + c_u) / (kap * params.n_fixed)
     lhs = params.lambda_s * (
-        (1.0 - a) * r_s ** (-a)
-        + a * (c_u / (kap * params.n_fixed)) * r_s ** (-a - 1.0)
+        w * r_s ** (-a) + a * (c_u / (kap * params.n_fixed)) * r_s ** (-a - 1.0)
     )
-    rhs = (1.0 - a) * r_m ** (-a)
-    return lhs - rhs
-
-
-def _welfare_foc(b_s: float, B: float, c_u: float, params: MarketParams,
-                 b_m: float | None = None) -> float:
-    """Marginal welfare of small-cell bandwidth minus that of macro bandwidth."""
-    a = params.alpha
-    kap = params.kappa
-    r_m = (B - b_s if b_m is None else b_m) * params.r0 / params.n_mobile
-    r_s = (kap * params.lambda_s * b_s * params.r0 + c_u) / (kap * params.n_fixed)
-    lhs = params.lambda_s * (
-        r_s ** (-a) + a * (c_u / (kap * params.n_fixed)) * r_s ** (-a - 1.0)
-    )
-    rhs = r_m ** (-a)
+    rhs = w * r_m ** (-a)
     return lhs - rhs
 
 
@@ -108,9 +92,9 @@ def _solve(B, b_unlicensed, params, objective) -> MonopolySolution:
         raise DomainError("unlicensed bandwidth must be non-negative")
     c_u = params.lambda_u * b_unlicensed * params.r0
     if objective is Objective.REVENUE:
-        cutoff, foc = threshold_rev(B, params), _revenue_foc
+        cutoff, w = threshold_rev(B, params), 1.0 - params.alpha
     else:
-        cutoff, foc = threshold_sw(B, params), _welfare_foc
+        cutoff, w = threshold_sw(B, params), 1.0
 
     boundary = c_u >= cutoff
     if boundary:
@@ -119,22 +103,22 @@ def _solve(B, b_unlicensed, params, objective) -> MonopolySolution:
     else:
         eps = _EDGE * B
         lo, hi = eps, B - eps
-        f_lo = foc(lo, B, c_u, params)
-        f_hi = foc(hi, B, c_u, params)
+        f_lo = _foc(lo, B, c_u, params, w)
+        f_hi = _foc(hi, B, c_u, params, w)
         if f_lo <= 0:
             raise SolverConsistencyError(
                 f"first-order condition not bracketed on (0, {B}): "
                 f"f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
             )
         if f_hi < 0:
-            b_s = brentq(foc, lo, hi, args=(B, c_u, params), xtol=1e-15, rtol=8.9e-16)
+            b_s = brentq(_foc, lo, hi, args=(B, c_u, params, w), xtol=1e-15, rtol=8.9e-16)
             b_m = B - b_s
         else:
             # Near-linear utility: the root sits at a macro bandwidth far below
             # floating-point resolution of B - b_s, so search log(b_macro).
             def g(t):
                 b_m = math.exp(t)
-                return foc(B - b_m, B, c_u, params, b_m=b_m)
+                return _foc(B - b_m, B, c_u, params, w, b_m=b_m)
 
             t_lo, t_hi = math.log(1e-280 * B), math.log(eps)
             if g(t_lo) >= 0:

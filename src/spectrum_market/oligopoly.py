@@ -6,13 +6,13 @@ set of providers to macro-only service, solving the aggregate first-order
 equality for the total small-cell bandwidth of the rest, and recovering the
 individual splits from the pairwise linear relations.  Monotonicity of the
 equilibrium in total bandwidth means the pinned set is always the providers
-with the least bandwidth, so at most N+1 candidate sets need checking.
+with the least bandwidth, so at most N+1 candidate sets need checking; the
+last of them, every provider pinned, is the macro-only profile.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +29,6 @@ from .association import (
 # Candidate small-cell bandwidths at or below this fraction of a provider's
 # total count as the macro-only boundary rather than an interior solution.
 _PIN_TOL = 1e-10
-_MAX_ENUM_SPS = 12
 
 
 class EquilibriumClass(enum.Enum):
@@ -187,16 +186,21 @@ def _build_result(bandwidths, b_small, pinned, b_unlicensed, params, residuals):
     )
 
 
-def _macro_only(bandwidths, b_unlicensed, c_u, params):
-    """The MNE: every provider pinned to macro-only service."""
+def _first_equilibrium(bandwidths, b_unlicensed, c_u, params, candidates=()):
+    """Build the first candidate that passes the KKT check.
+
+    ``candidates`` yields (pinned set, small-cell split or None); the
+    macro-only profile, every provider pinned, is tried after them.
+    """
     n = len(bandwidths)
-    b_small = [0.0] * n
-    pinned = set(range(n))
-    residuals = _check_candidate(bandwidths, b_small, pinned, c_u, params)
-    if residuals is None:
-        # tolerance skirmish exactly at the bound; treat as satisfied
-        residuals = [0.0] * n
-    return _build_result(bandwidths, b_small, pinned, b_unlicensed, params, residuals)
+    macro_only = [(set(range(n)), [0.0] * n)]
+    for pinned, b_small in (c for part in (candidates, macro_only) for c in part):
+        if b_small is None:
+            continue
+        residuals = _check_candidate(bandwidths, b_small, pinned, c_u, params)
+        if residuals is not None:
+            return _build_result(bandwidths, b_small, pinned, b_unlicensed, params, residuals)
+    raise SolverConsistencyError(f"no consistent equilibrium assignment found for {n} providers")
 
 
 def solve_nash(bandwidths, b_unlicensed: float, params: MarketParams) -> EquilibriumResult:
@@ -210,29 +214,15 @@ def solve_nash(bandwidths, b_unlicensed: float, params: MarketParams) -> Equilib
     n = len(bandwidths)
 
     if c_u >= mne_capacity_bound(bandwidths, params):
-        return _macro_only(bandwidths, b_unlicensed, c_u, params)
+        return _first_equilibrium(bandwidths, b_unlicensed, c_u, params)
 
-    # Providers exit small-cells smallest-bandwidth first.  Should that
-    # monotone order fail (never expected), every subset of up to
-    # _MAX_ENUM_SPS providers is tried outright.
+    # Providers exit small-cells smallest-bandwidth first.
     order = sorted(range(n), key=lambda i: (bandwidths[i], i))
-    candidates = (order[:n_pinned] for n_pinned in range(n))
-    if n <= _MAX_ENUM_SPS:
-        candidates = itertools.chain(candidates, (
-            c for n_pinned in range(n) for c in itertools.combinations(range(n), n_pinned)
-        ))
-    for pinned in candidates:
-        pinned = set(pinned)
-        active = [i for i in range(n) if i not in pinned]
-        b_small = _try_active_set(bandwidths, active, c_u, params)
-        if b_small is None:
-            continue
-        residuals = _check_candidate(bandwidths, b_small, pinned, c_u, params)
-        if residuals is not None:
-            return _build_result(bandwidths, b_small, pinned, b_unlicensed, params, residuals)
-    raise SolverConsistencyError(
-        f"no consistent equilibrium assignment found for {n} providers"
+    candidates = (
+        (set(order[:n_pinned]), _try_active_set(bandwidths, order[n_pinned:], c_u, params))
+        for n_pinned in range(n)
     )
+    return _first_equilibrium(bandwidths, b_unlicensed, c_u, params, candidates)
 
 
 def best_response(
@@ -280,9 +270,8 @@ def symmetric_equilibrium(
     bandwidths = [B] * n
 
     if c_u >= symmetric_mne_bound(n, B, params):
-        return _macro_only(bandwidths, b_unlicensed, c_u, params)
+        return _first_equilibrium(bandwidths, b_unlicensed, c_u, params)
 
-    a = params.alpha
     kap = params.kappa
     n_f, n_m, r0, lam_s = params.n_fixed, params.n_mobile, params.r0, params.lambda_s
 
@@ -294,14 +283,10 @@ def symmetric_equilibrium(
 
     eps = 1e-14 * B
     f_lo = math.inf if c_u == 0.0 else residual(eps)
-    if not (f_lo > 0 > residual(B - eps)):
-        raise SolverConsistencyError("symmetric first-order condition not bracketed")
-    b_s = brentq(residual, eps, B - eps, xtol=1e-16, rtol=8.9e-16)
-    b_small = [b_s] * n
-    residuals = _check_candidate(bandwidths, b_small, set(), c_u, params)
-    if residuals is None:
-        raise SolverConsistencyError("symmetric solution failed verification")
-    return _build_result(bandwidths, b_small, set(), b_unlicensed, params, residuals)
+    b_small = None  # an unbracketed root leaves only the macro-only candidate
+    if f_lo > 0 > residual(B - eps):
+        b_small = [brentq(residual, eps, B - eps, xtol=1e-16, rtol=8.9e-16)] * n
+    return _first_equilibrium(bandwidths, b_unlicensed, c_u, params, [(set(), b_small)])
 
 
 def symmetric_mne_bound(n: int, B: float, params: MarketParams) -> float:

@@ -63,8 +63,8 @@ def _planner_welfare(b_macro, fixed_rate_capacity, params):
 
 def planner_optimal(B: float, params: MarketParams) -> PlannerSolution:
     """Closed-form welfare-maximizing split of a total band."""
-    if B <= 0:
-        raise DomainError("total bandwidth must be positive")
+    if not 0 < B < float("inf"):
+        raise DomainError(f"total bandwidth must be positive and finite, got {B}")
     a = params.alpha
     if params.lambda_s > params.lambda_u:
         case = PlannerCase.SMALL_DOMINATES

@@ -83,12 +83,13 @@ class TestOptimizeRevenue:
         assert abs(sol.b_small - x) < 1e-3
 
     def test_first_order_residual(self, base_params):
-        from spectrum_market.monopoly import _revenue_foc
+        from spectrum_market.monopoly import _foc
 
         sol = optimize_revenue(2.0, 0.5, base_params)
         c_u = base_params.lambda_u * 0.5 * base_params.r0
-        lhs = _revenue_foc(sol.b_small, 2.0, c_u, base_params)
-        scale = abs(_revenue_foc(1e-6, 2.0, c_u, base_params))
+        w = 1.0 - base_params.alpha
+        lhs = _foc(sol.b_small, 2.0, c_u, base_params, w)
+        scale = abs(_foc(1e-6, 2.0, c_u, base_params, w))
         assert abs(lhs) <= 1e-10 * scale
 
     def test_full_band_and_separate(self, base_params):
@@ -122,12 +123,12 @@ class TestOptimizeWelfare:
         assert abs(sol.b_small - x) < 1e-3
 
     def test_first_order_residual(self, base_params):
-        from spectrum_market.monopoly import _welfare_foc
+        from spectrum_market.monopoly import _foc
 
         sol = optimize_welfare(2.0, 0.5, base_params)
         c_u = base_params.lambda_u * 0.5 * base_params.r0
-        scale = abs(_welfare_foc(1e-6, 2.0, c_u, base_params))
-        assert abs(_welfare_foc(sol.b_small, 2.0, c_u, base_params)) <= 1e-10 * scale
+        scale = abs(_foc(1e-6, 2.0, c_u, base_params, 1.0))
+        assert abs(_foc(sol.b_small, 2.0, c_u, base_params, 1.0)) <= 1e-10 * scale
 
 
 class TestComparisons:

@@ -1,12 +1,15 @@
+import itertools
 import random
 
 import pytest
 
-from spectrum_market.core import DomainError
+from spectrum_market.core import DomainError, MarketParams, SolverConsistencyError
 from spectrum_market.association import AllocationProfile, Regime
 from spectrum_market.monopoly import optimize_revenue, optimize_welfare, threshold_rev
 from spectrum_market.oligopoly import (
     EquilibriumClass,
+    _check_candidate,
+    _try_active_set,
     asymptotic_limit,
     best_response,
     mne_capacity_bound,
@@ -162,6 +165,71 @@ class TestSolveNash:
         assert checked >= 10
 
 
+class TestMneBoundary:
+    """Just below the closed-form bound the interior root sinks under the
+    pinning tolerance, so the macro-only candidate has to answer."""
+
+    @staticmethod
+    def _assert_mne(res, params):
+        assert res.classification is EquilibriumClass.MNE
+        assert all(b_s == 0.0 for _, b_s in res.profile.per_sp)
+        # residuals are marginal revenues per unit R0; scale by the macro price
+        assert max(res.kkt_residuals) <= 1e-9 * res.outcome.r_macro ** -params.alpha
+
+    @pytest.mark.parametrize("bw", [[1.0, 1.0], [1.0, 2.0], [1.0, 2.0, 3.0]])
+    def test_solve_nash(self, base_params, bw):
+        c_u = (1 - 1e-12) * mne_capacity_bound(bw, base_params)
+        res = solve_nash(bw, _b_u_for_capacity(c_u, base_params), base_params)
+        self._assert_mne(res, base_params)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_symmetric_equilibrium(self, base_params, n):
+        c_u = (1 - 1e-12) * symmetric_mne_bound(n, 1.0, base_params)
+        res = symmetric_equilibrium(n, 1.0, _b_u_for_capacity(c_u, base_params), base_params)
+        self._assert_mne(res, base_params)
+
+
+def test_monotone_order_agrees_with_every_pinned_subset():
+    """Pinning the smallest providers first finds every equilibrium there is:
+    no pinned subset passes the KKT check with a different split, and none
+    passes at all where solve_nash raises."""
+    rng = random.Random(1965)
+    answered = 0
+    for _ in range(300):
+        params = MarketParams(
+            alpha=rng.uniform(0.1, 0.9),
+            n_fixed=10 ** rng.uniform(-1, 3),
+            n_mobile=10 ** rng.uniform(-1, 3),
+            r0=10 ** rng.uniform(-1, 3),
+            lambda_s=1.0 + 10 ** rng.uniform(-2, 1.5),
+            lambda_u=10 ** rng.uniform(-2, 1.5),
+        )
+        n = rng.randint(2, 5)
+        bw = [10 ** rng.uniform(-3, 2) for _ in range(n)]
+        share = rng.choice([0.0, rng.uniform(0.0, 1.0), rng.uniform(0.99, 1.01)])
+        b_u = _b_u_for_capacity(share * mne_capacity_bound(bw, params), params)
+        c_u = params.lambda_u * b_u * params.r0
+        passing = []
+        for k in range(n + 1):
+            for pinned in itertools.combinations(range(n), k):
+                active = [i for i in range(n) if i not in pinned]
+                b_small = _try_active_set(bw, active, c_u, params) if active else [0.0] * n
+                if b_small is not None and _check_candidate(
+                    bw, b_small, set(pinned), c_u, params
+                ) is not None:
+                    passing.append(b_small)
+        try:
+            res = solve_nash(bw, b_u, params)
+        except SolverConsistencyError:
+            assert passing == []
+            continue
+        answered += 1
+        found = [b_s for _, b_s in res.profile.per_sp]
+        for b_small in passing:
+            assert all(abs(s - f) <= 1e-9 * b for s, f, b in zip(b_small, found, bw))
+    assert answered >= 250
+
+
 class TestBestResponse:
     def test_fixed_point_at_msne(self, base_params):
         res = solve_nash([2.0, 1.5], 0.4, base_params)
@@ -224,6 +292,12 @@ class TestBestResponse:
             assert max(
                 abs(a - b) for a, b in zip(splits, target_splits)
             ) < 1e-5
+
+
+    def test_rejects_one_point_grid(self, base_params):
+        profile = AllocationProfile([(1.0, 1.0)], 0.5)
+        with pytest.raises(DomainError, match="at least 2 points"):
+            best_response(0, profile, base_params, grid_points=1)
 
 
 class TestSymmetric:

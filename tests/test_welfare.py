@@ -61,6 +61,11 @@ class TestPlanner:
         with pytest.raises(DomainError):
             planner_optimal(0.0, base_params)
 
+    @pytest.mark.parametrize("B", [float("inf"), float("nan")])
+    def test_rejects_non_finite_band(self, base_params, B):
+        with pytest.raises(DomainError, match="finite"):
+            planner_optimal(B, base_params)
+
 
 class TestAlphaThreshold:
     def test_case_c_root(self):
@@ -97,6 +102,10 @@ class TestOptimalSplit:
     def test_case_cp_monopoly_inefficient(self):
         _, _, efficient = optimal_split(2.0, 1, CASE_CP, grid_points=101)
         assert not efficient
+
+    def test_rejects_one_point_grid(self, base_params):
+        with pytest.raises(DomainError, match="at least 2 points"):
+            optimal_split(2.0, 1, base_params, grid_points=1)
 
 
 class TestKinks:
