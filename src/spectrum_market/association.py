@@ -9,6 +9,7 @@ small-cell bandwidth is scarce, spill into macro-cells -- the mixed regime).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .core import (
@@ -38,10 +39,10 @@ class AllocationProfile:
         if not per_sp:
             raise DomainError("profile needs at least one provider")
         for bm, bs in per_sp:
-            if bm < 0 or bs < 0:
-                raise DomainError("bandwidths must be non-negative")
-        if b_unlicensed < 0:
-            raise DomainError("unlicensed bandwidth must be non-negative")
+            if not (0.0 <= bm < math.inf and 0.0 <= bs < math.inf):
+                raise DomainError("bandwidths must be non-negative and finite")
+        if not 0.0 <= b_unlicensed < math.inf:
+            raise DomainError("unlicensed bandwidth must be non-negative and finite")
         object.__setattr__(self, "per_sp", per_sp)
         object.__setattr__(self, "b_unlicensed", float(b_unlicensed))
 
@@ -59,10 +60,16 @@ class AllocationProfile:
 
     def capacities(self, params: MarketParams):
         """Aggregate (macro, small, unlicensed) rate capacities."""
-        c_m = self.total_b_macro * params.r0
-        c_s = params.lambda_s * self.total_b_small * params.r0
-        c_u = params.lambda_u * self.b_unlicensed * params.r0
-        return c_m, c_s, c_u
+        return _capacities(self.total_b_macro, self.total_b_small, self.b_unlicensed, params)
+
+
+def _capacities(total_b_macro, total_b_small, b_unlicensed, params):
+    r0 = params.r0
+    return (
+        total_b_macro * r0,
+        params.lambda_s * total_b_small * r0,
+        params.lambda_u * b_unlicensed * r0,
+    )
 
 
 @dataclass(frozen=True)
@@ -96,9 +103,13 @@ def regime_threshold(profile: AllocationProfile, params: MarketParams) -> float:
     Returns B_S0 = max(kappa*N_f*B_M*R0 - N_m*C_U, 0) / (kappa*N_m*lambda_s*R0);
     total small-cell bandwidth strictly below this implies mixed service.
     """
-    k = params.kappa
     _, _, c_u = profile.capacities(params)
-    numer = k * params.n_fixed * profile.total_b_macro * params.r0 - params.n_mobile * c_u
+    return _threshold(profile.total_b_macro, c_u, params)
+
+
+def _threshold(total_b_macro: float, c_u: float, params: MarketParams) -> float:
+    k = params.kappa
+    numer = k * params.n_fixed * total_b_macro * params.r0 - params.n_mobile * c_u
     if numer <= 0:
         return 0.0
     return numer / (k * params.n_mobile * params.lambda_s * params.r0)
@@ -115,7 +126,10 @@ def small_cell_shadow_rate(c_unlicensed: float, params: MarketParams) -> float:
 
 def solve_association(profile: AllocationProfile, params: MarketParams) -> AssociationOutcome:
     """Compute the unique market-clearing association equilibrium."""
-    c_m, c_s, c_u = profile.capacities(params)
+    per_sp = profile.per_sp
+    b_macro, b_small = zip(*per_sp)
+    total_b_macro, total_b_small = sum(b_macro), sum(b_small)
+    c_m, c_s, c_u = _capacities(total_b_macro, total_b_small, profile.b_unlicensed, params)
     if c_m == 0.0 and c_s == 0.0 and c_u == 0.0:
         raise DegenerateScenarioError("all service capacities are zero")
     if c_m == 0.0 and params.n_mobile > 0:
@@ -128,9 +142,7 @@ def solve_association(profile: AllocationProfile, params: MarketParams) -> Assoc
     n_f, n_m = params.n_fixed, params.n_mobile
     n_t = n_f + n_m
 
-    mixed = profile.total_b_small < regime_threshold(profile, params)
-
-    if mixed:
+    if total_b_small < _threshold(total_b_macro, c_u, params):
         denom = c_u + kap * (c_m + c_s)
         k_u = n_t * c_u / denom
         k_m = n_t * kap * c_m / denom
@@ -161,10 +173,8 @@ def solve_association(profile: AllocationProfile, params: MarketParams) -> Assoc
         regime = Regime.SEPARATE_SERVICE
 
     p_s_val = p_s if p_s is not None else 0.0
-    revenues = tuple(
-        bm * params.r0 * p_m + params.lambda_s * bs * params.r0 * p_s_val
-        for bm, bs in profile.per_sp
-    )
+    r0, lam_s = params.r0, params.lambda_s
+    revenues = tuple(bm * r0 * p_m + lam_s * bs * r0 * p_s_val for bm, bs in per_sp)
 
     sw = (
         k_m * utility(r_m, alpha)

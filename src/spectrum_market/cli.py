@@ -205,6 +205,8 @@ def cmd_sweep(raw: dict, params: MarketParams, grid_override=None):
     _require_keys(sec, "sweep", ["total_bandwidth"], ["series", "grid"])
     B = _number(sec["total_bandwidth"], "sweep.total_bandwidth")
     series = sec.get("series", list(welfare.DEFAULT_SERIES))
+    if not isinstance(series, list) or not all(isinstance(s, str) for s in series):
+        raise ScenarioError(f"sweep.series: expected a list of series names, got {series!r}")
     points = grid_override if grid_override is not None else sec.get("grid", 201)
     grid = welfare.default_grid(B, _number(points, "sweep.grid", int))
     return welfare.welfare_sweep(B, grid, series, params), series

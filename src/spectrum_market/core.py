@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Curvature values closer than this to 0 or 1 hit the degenerate
 # linear/logarithmic limits and are rejected.
@@ -47,6 +47,9 @@ class MarketParams:
     r0        -- macro-cell spectral efficiency (rate per unit bandwidth)
     lambda_s  -- small-cell rate multiplier relative to macro, > 1
     lambda_u  -- unlicensed rate multiplier relative to macro, > 0
+
+    ``kappa`` is derived from alpha once, at construction; it is not a field
+    of ``repr``, ``==`` or ``hash``, and ``dataclasses.replace`` recomputes it.
     """
 
     alpha: float
@@ -55,6 +58,7 @@ class MarketParams:
     r0: float
     lambda_s: float
     lambda_u: float
+    kappa: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = (self.alpha, self.n_fixed, self.n_mobile, self.r0, self.lambda_s, self.lambda_u)
@@ -76,10 +80,7 @@ class MarketParams:
             raise DomainError(f"lambda_s must exceed 1, got {self.lambda_s}")
         if self.lambda_u <= 0:
             raise DomainError(f"lambda_u must be strictly positive, got {self.lambda_u}")
-
-    @property
-    def kappa(self) -> float:
-        return kappa(self.alpha)
+        object.__setattr__(self, "kappa", kappa(self.alpha))
 
 
 def utility(r: float, alpha: float) -> float:
@@ -129,14 +130,13 @@ def brentq(f, a, b, args=(), *, xtol, rtol=4 * sys.float_info.epsilon):
     xtol + rtol*|x|; raises SolverConsistencyError on a same-sign bracket, a
     NaN value of f, or no convergence in 100 iterations.
     """
-    def value(x):
-        fx = f(x, *args)
-        if fx != fx:
-            raise SolverConsistencyError(f"root finder met NaN at x={x!r}")
-        return fx
-
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = f(xpre, *args)
+    if fpre != fpre:
+        raise SolverConsistencyError(f"root finder met NaN at x={xpre!r}")
+    fcur = f(xcur, *args)
+    if fcur != fcur:
+        raise SolverConsistencyError(f"root finder met NaN at x={xcur!r}")
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -172,7 +172,9 @@ def brentq(f, a, b, args=(), *, xtol, rtol=4 * sys.float_info.epsilon):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = f(xcur, *args)
+        if fcur != fcur:
+            raise SolverConsistencyError(f"root finder met NaN at x={xcur!r}")
     raise SolverConsistencyError(f"root finder did not converge in 100 steps (x={xcur!r})")
 
 

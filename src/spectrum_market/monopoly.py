@@ -47,8 +47,8 @@ def beta_tilde(params: MarketParams) -> float:
 
 def threshold_rev(B: float, params: MarketParams) -> float:
     """Unlicensed capacity above which a revenue maximizer abandons small-cells."""
-    if B <= 0:
-        raise DomainError("total bandwidth must be positive")
+    if not 0.0 < B < math.inf:
+        raise DomainError("total bandwidth must be positive and finite")
     a = params.alpha
     try:
         factor = (params.lambda_s / (1.0 - a)) ** (1.0 / a)
@@ -59,8 +59,8 @@ def threshold_rev(B: float, params: MarketParams) -> float:
 
 def threshold_sw(B: float, params: MarketParams) -> float:
     """Unlicensed capacity above which a welfare maximizer abandons small-cells."""
-    if B <= 0:
-        raise DomainError("total bandwidth must be positive")
+    if not 0.0 < B < math.inf:
+        raise DomainError("total bandwidth must be positive and finite")
     a = params.alpha
     try:
         factor = ((a + 1.0) * params.lambda_s) ** (1.0 / a)
@@ -86,10 +86,10 @@ def _foc(b_s: float, B: float, c_u: float, params: MarketParams, w: float,
 
 
 def _solve(B, b_unlicensed, params, objective) -> MonopolySolution:
-    if B <= 0:
-        raise DomainError("total bandwidth must be positive")
-    if not b_unlicensed >= 0:
-        raise DomainError("unlicensed bandwidth must be non-negative")
+    if not 0.0 < B < math.inf:
+        raise DomainError("total bandwidth must be positive and finite")
+    if not 0.0 <= b_unlicensed < math.inf:
+        raise DomainError("unlicensed bandwidth must be non-negative and finite")
     c_u = params.lambda_u * b_unlicensed * params.r0
     if objective is Objective.REVENUE:
         cutoff, w = threshold_rev(B, params), 1.0 - params.alpha
@@ -173,8 +173,8 @@ def threshold_crossover(B: float, params: MarketParams) -> float:
     """Unlicensed capacity at which small-cell bandwidth dips back below the
     no-unlicensed optimum: below it the revenue maximizer over-invests in
     small-cells, above it under-invests."""
-    if B <= 0:
-        raise DomainError("total bandwidth must be positive")
+    if not 0.0 < B < math.inf:
+        raise DomainError("total bandwidth must be positive and finite")
     beta_star = crossover_beta(params.alpha)
     b_s_tilde = beta_tilde(params) * B
     return beta_star * params.kappa * params.lambda_s * b_s_tilde * params.r0

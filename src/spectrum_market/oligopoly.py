@@ -49,8 +49,10 @@ class EquilibriumResult:
 def mne_condition(bandwidths, b_unlicensed: float, params: MarketParams) -> bool:
     """True iff the macro-only profile is the Nash equilibrium."""
     bandwidths = list(bandwidths)
-    if not bandwidths or any(b <= 0 for b in bandwidths):
-        raise DomainError("every provider needs strictly positive bandwidth")
+    if not bandwidths or any(not 0.0 < b < math.inf for b in bandwidths):
+        raise DomainError("every provider needs strictly positive, finite bandwidth")
+    if not 0.0 <= b_unlicensed < math.inf:
+        raise DomainError("unlicensed bandwidth must be non-negative and finite")
     c_u = params.lambda_u * b_unlicensed * params.r0
     return c_u >= mne_capacity_bound(bandwidths, params)
 
@@ -83,19 +85,19 @@ def _marginal_macro(b_im: float, r_m: float, params: MarketParams) -> float:
     return r_m ** (-a) - a * (b_im * params.r0 / params.n_mobile) * r_m ** (-a - 1.0)
 
 
-def _try_active_set(bandwidths, active, c_u, params):
-    """Solve the first-order system with ``active`` providers in small-cells.
+def _active_root(total_b, sum_b_active, n_active, c_u, params):
+    """Solve the first-order system with ``n_active`` providers, holding
+    ``sum_b_active`` of the ``total_b`` bandwidth, in small-cells.
 
-    Returns per-provider small-cell bandwidths, or None if the system has no
-    solution with positive total small-cell bandwidth.
+    Returns (t_s, c): the active providers' total small-cell bandwidth and
+    the slope c of the pairwise relation delta b_small = c * delta b_total,
+    so provider i's split is t_s / n_active + c * (b_i - sum_b_active /
+    n_active).  Returns None if the system has no solution with positive
+    total small-cell bandwidth.
     """
     a = params.alpha
     kap = params.kappa
     n_f, n_m, r0, lam_s = params.n_fixed, params.n_mobile, params.r0, params.lambda_s
-    total_b = sum(bandwidths)
-    active = sorted(active)
-    sum_b_active = sum(bandwidths[i] for i in active)
-    n_active = len(active)
 
     def residual(t_s):
         # sum of the active providers' small-vs-macro marginal differences
@@ -125,15 +127,36 @@ def _try_active_set(bandwidths, active, c_u, params):
 
     r_s = (c_u + kap * lam_s * t_s * r0) / (kap * n_f)
     r_m = (total_b - t_s) * r0 / n_m
-    # pairwise relation: delta b_small = c * delta b_total between active SPs
     u2_s = -a * r_s ** (-a - 1.0)
     u2_m = -a * r_m ** (-a - 1.0)
-    c = (u2_m / n_m) / (lam_s ** 2 * u2_s / n_f + u2_m / n_m)
-    mean_b = sum_b_active / n_active
-    b_small = [0.0] * len(bandwidths)
-    for i in active:
-        b_small[i] = t_s / n_active + c * (bandwidths[i] - mean_b)
-    return b_small
+    return t_s, (u2_m / n_m) / (lam_s ** 2 * u2_s / n_f + u2_m / n_m)
+
+
+def _nash_candidates(bandwidths, c_u, params):
+    """Yield (pinned set, small-cell split) for each pinned set of the
+    smallest-first order whose smallest active provider has an interior
+    split; the split is built only for those."""
+    n = len(bandwidths)
+    order = sorted(range(n), key=lambda i: (bandwidths[i], i))
+    total_b = sum(bandwidths)
+    pinned_b = 0.0  # running sum of the pinned, smallest bandwidths
+    for n_pinned, i_min in enumerate(order):
+        sum_b_active = total_b - pinned_b
+        pinned_b += bandwidths[i_min]
+        n_active = n - n_pinned
+        root = _active_root(total_b, sum_b_active, n_active, c_u, params)
+        if root is None:
+            continue
+        t_s, c = root
+        share, mean_b = t_s / n_active, sum_b_active / n_active
+        b_min = bandwidths[i_min]
+        s_min = share + c * (b_min - mean_b)
+        if s_min <= _PIN_TOL * b_min or s_min >= b_min:
+            continue  # the KKT check would reject this split; skip building it
+        b_small = [0.0] * n
+        for i in order[n_pinned:]:
+            b_small[i] = share + c * (bandwidths[i] - mean_b)
+        yield set(order[:n_pinned]), b_small
 
 
 def _check_candidate(bandwidths, b_small, pinned, c_u, params):
@@ -206,22 +229,17 @@ def _first_equilibrium(bandwidths, b_unlicensed, c_u, params, candidates=()):
 def solve_nash(bandwidths, b_unlicensed: float, params: MarketParams) -> EquilibriumResult:
     """Compute the unique bandwidth-stage Nash equilibrium."""
     bandwidths = [float(b) for b in bandwidths]
-    if not bandwidths or any(b <= 0 for b in bandwidths):
-        raise DomainError("every provider needs strictly positive bandwidth")
-    if not b_unlicensed >= 0:
-        raise DomainError("unlicensed bandwidth must be non-negative")
+    if not bandwidths or any(not 0.0 < b < math.inf for b in bandwidths):
+        raise DomainError("every provider needs strictly positive, finite bandwidth")
+    if not 0.0 <= b_unlicensed < math.inf:
+        raise DomainError("unlicensed bandwidth must be non-negative and finite")
     c_u = params.lambda_u * b_unlicensed * params.r0
-    n = len(bandwidths)
 
     if c_u >= mne_capacity_bound(bandwidths, params):
         return _first_equilibrium(bandwidths, b_unlicensed, c_u, params)
 
     # Providers exit small-cells smallest-bandwidth first.
-    order = sorted(range(n), key=lambda i: (bandwidths[i], i))
-    candidates = (
-        (set(order[:n_pinned]), _try_active_set(bandwidths, order[n_pinned:], c_u, params))
-        for n_pinned in range(n)
-    )
+    candidates = _nash_candidates(bandwidths, c_u, params)
     return _first_equilibrium(bandwidths, b_unlicensed, c_u, params, candidates)
 
 
@@ -262,10 +280,10 @@ def symmetric_equilibrium(
     """Equilibrium when all n providers hold the same bandwidth B."""
     if n < 1:
         raise DomainError("need at least one provider")
-    if B <= 0:
-        raise DomainError("per-provider bandwidth must be positive")
-    if not b_unlicensed >= 0:
-        raise DomainError("unlicensed bandwidth must be non-negative")
+    if not 0.0 < B < math.inf:
+        raise DomainError("per-provider bandwidth must be positive and finite")
+    if not 0.0 <= b_unlicensed < math.inf:
+        raise DomainError("unlicensed bandwidth must be non-negative and finite")
     c_u = params.lambda_u * b_unlicensed * params.r0
     bandwidths = [B] * n
 
@@ -312,8 +330,10 @@ def asymptotic_limit(
     B_total: float, b_unlicensed: float, params: MarketParams
 ) -> AsymptoticLimit:
     """Many-provider limit with total licensed bandwidth held at B_total."""
-    if B_total <= 0:
-        raise DomainError("total bandwidth must be positive")
+    if not 0.0 < B_total < math.inf:
+        raise DomainError("total bandwidth must be positive and finite")
+    if not 0.0 <= b_unlicensed < math.inf:
+        raise DomainError("unlicensed bandwidth must be non-negative and finite")
     a = params.alpha
     kap = params.kappa
     n_f, n_m, lam_s, lam_u = (

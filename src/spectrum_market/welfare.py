@@ -10,6 +10,7 @@ and locates the kink where providers abandon small-cells.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .core import ALPHA_MAX, ALPHA_MIN, DomainError, MarketParams, utility
@@ -63,7 +64,7 @@ def _planner_welfare(b_macro, fixed_rate_capacity, params):
 
 def planner_optimal(B: float, params: MarketParams) -> PlannerSolution:
     """Closed-form welfare-maximizing split of a total band."""
-    if not 0 < B < float("inf"):
+    if not 0 < B < math.inf:
         raise DomainError(f"total bandwidth must be positive and finite, got {B}")
     a = params.alpha
     if params.lambda_s > params.lambda_u:
@@ -141,8 +142,8 @@ def optimal_split(B: float, n_sps: int, params: MarketParams,
     Returns (b_licensed, b_unlicensed, efficient) where ``efficient`` says the
     achieved welfare matches the planner benchmark to 1e-6 relative.
     """
-    if B <= 0:
-        raise DomainError("total bandwidth must be positive")
+    if not 0.0 < B < math.inf:
+        raise DomainError("total bandwidth must be positive and finite")
     if n_sps < 1:
         raise DomainError("need at least one provider")
 

@@ -1,8 +1,11 @@
+import math
 import random
 
 import pytest
 
+from spectrum_market import core
 from spectrum_market.core import (
+    DomainError,
     MobileUnservableError,
     net_payoff,
     utility,
@@ -97,6 +100,27 @@ class TestSolveAssociation:
     def test_price_ordering_separate(self, base_params):
         out = solve_association(AllocationProfile([(1.0, 1.0)], 1.0), base_params)
         assert out.p_macro > out.p_small
+
+
+@pytest.mark.parametrize("per_sp, b_u", [
+    ([(math.nan, 1.0)], 0.5),
+    ([(1.0, math.inf)], 0.5),
+    ([(1.0, 1.0), (-math.inf, 1.0)], 0.5),
+    ([(1.0, 1.0)], math.nan),
+    ([(1.0, 1.0)], math.inf),
+])
+def test_profile_rejects_non_finite_bandwidth(per_sp, b_u):
+    with pytest.raises(DomainError, match="finite"):
+        AllocationProfile(per_sp, b_u)
+
+
+def test_solve_association_uses_the_cached_kappa(base_params, monkeypatch):
+    calls = []
+    real = core.kappa
+    monkeypatch.setattr(core, "kappa", lambda alpha: calls.append(alpha) or real(alpha))
+    for per_sp, b_u in [([(1.0, 1.0)], 1.0), ([(1.0, 0.01)], 0.0), ([(1.0, 0.5), (2.0, 0.0)], 0.3)]:
+        solve_association(AllocationProfile(per_sp, b_u), base_params)
+    assert calls == []
 
 
 class TestRandomizedInvariants:

@@ -231,6 +231,14 @@ class TestSweep:
         report = json.loads(capsys.readouterr().out)
         assert len(report["grid"]) == 11
 
+    @pytest.mark.parametrize("series", [5, "n2", [["n2"]]])
+    def test_series_not_a_list_of_names(self, tmp_path, capsys, series):
+        path = self._sweep_scenario(tmp_path, series=series)
+        assert cli.main(["sweep", "--scenario", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sweep.series: expected a list of series names" in captured.err
+
     @pytest.mark.parametrize("grid", ["1", "0", "-3"])
     def test_grid_below_two_points(self, tmp_path, capsys, grid):
         path = self._sweep_scenario(tmp_path)

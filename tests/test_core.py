@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import given, strategies as st
 
 import spectrum_market
 from spectrum_market.core import (
+    ALPHA_MAX,
+    ALPHA_MIN,
     DomainError,
     MarketParams,
     SolverConsistencyError,
@@ -114,7 +118,21 @@ def test_market_params_validation(kwargs):
 
 def test_market_params_kappa_property():
     p = MarketParams(alpha=0.5, n_fixed=50, n_mobile=50, r0=50, lambda_s=4, lambda_u=3)
-    assert p.kappa == pytest.approx(0.25)
+    assert p.kappa == pytest.approx(0.25) and p.kappa == kappa(0.5)
+    # dataclasses.replace recomputes the cached value from the new alpha
+    for alpha in (ALPHA_MIN, 0.1, 0.8, 0.97, ALPHA_MAX):
+        assert dataclasses.replace(p, alpha=alpha).kappa == kappa(alpha)
+    assert dataclasses.replace(p, r0=7.0).kappa == p.kappa
+
+
+def test_market_params_kappa_outside_repr_eq_and_hash():
+    args = dict(alpha=0.8, n_fixed=50, n_mobile=50, r0=50, lambda_s=4, lambda_u=3)
+    p, q = MarketParams(**args), MarketParams(**args)
+    assert "kappa" not in repr(p)
+    object.__setattr__(q, "kappa", 0.0)  # a cached value that equality must not read
+    assert p == q and hash(p) == hash(q)
+    with pytest.raises(TypeError):
+        MarketParams(**args, kappa=0.1)
 
 
 # (xtol, rtol) pairs passed to brentq by monopoly, oligopoly and welfare;
@@ -160,6 +178,33 @@ def test_brentq_matches_scipy(xtol, rtol):
         else:
             assert brentq(counted(0), a, b, **kw) == want
         assert calls[0] == calls[1]
+
+
+@pytest.mark.parametrize("xtol,rtol", PACKAGE_TOLERANCES)
+def test_brentq_makes_no_call_but_f(xtol, rtol):
+    """Each evaluation is one direct call of f, as many as scipy counts, and
+    brentq makes no other Python-level call (no per-evaluation wrapper)."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    kw = {"xtol": xtol} if rtol is None else {"xtol": xtol, "rtol": rtol}
+    for f, a, b in _root_problems(random.Random(int(-math.log10(xtol)))):
+        _, info = scipy_optimize.brentq(f, a, b, full_output=True, disp=False, **kw)
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code] += 1
+
+        converged = True
+        sys.setprofile(profile)
+        try:
+            brentq(f, a, b, **kw)
+        except SolverConsistencyError:  # no convergence in 100 iterations
+            converged = False
+        finally:
+            sys.setprofile(None)
+        assert converged == info.converged
+        assert calls.pop(brentq.__code__) == 1
+        assert calls == Counter({f.__code__: info.function_calls})
 
 
 def test_brentq_args_and_exact_endpoint():

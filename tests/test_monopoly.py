@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spectrum_market.core import MarketParams
+from spectrum_market.core import DomainError, MarketParams
 from spectrum_market.monopoly import (
     Objective,
     beta_tilde,
@@ -188,3 +188,19 @@ class TestCrossover:
             assert sol.b_macro > 0
             assert sol.b_macro + sol.b_small == pytest.approx(B, rel=1e-12)
             assert sol.outcome.regime is Regime.SEPARATE_SERVICE
+
+
+@pytest.mark.parametrize("solve", [optimize_revenue, optimize_welfare])
+@pytest.mark.parametrize("B, b_u", [
+    (2.0, math.inf), (2.0, math.nan), (math.inf, 0.5), (math.nan, 0.5),
+])
+def test_rejects_non_finite_bandwidth(base_params, solve, B, b_u):
+    with pytest.raises(DomainError, match="finite"):
+        solve(B, b_u, base_params)
+
+
+@pytest.mark.parametrize("threshold", [threshold_rev, threshold_sw, threshold_crossover])
+def test_thresholds_reject_non_finite_bandwidth(base_params, threshold):
+    for B in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            threshold(B, base_params)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from spectrum_market.core import DomainError, MarketParams, SolverConsistencyError
 from spectrum_market.association import AllocationProfile, Regime
 from spectrum_market.monopoly import optimize_revenue, optimize_welfare, threshold_rev
+from spectrum_market import oligopoly
 from spectrum_market.oligopoly import (
     EquilibriumClass,
+    _active_root,
     _check_candidate,
-    _try_active_set,
     asymptotic_limit,
     best_response,
     mne_capacity_bound,
@@ -64,6 +66,25 @@ def test_rejects_negative_unlicensed_bandwidth(solve, base_params):
     # a negative capacity would otherwise reach a complex power
     with pytest.raises(DomainError, match="unlicensed"):
         solve(-0.5, base_params)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda p: solve_nash([1.0, 1.0], math.inf, p),
+    lambda p: solve_nash([1.0, 1.0], math.nan, p),
+    lambda p: solve_nash([1.0, math.inf], 0.5, p),
+    lambda p: solve_nash([math.nan, 1.0], 0.5, p),
+    lambda p: mne_condition([1.0, 1.0], math.inf, p),
+    lambda p: mne_condition([1.0, math.inf], 0.5, p),
+    lambda p: symmetric_equilibrium(2, math.inf, 1.0, p),
+    lambda p: symmetric_equilibrium(2, 1.0, math.inf, p),
+    lambda p: symmetric_equilibrium(2, math.nan, 1.0, p),
+    lambda p: asymptotic_limit(math.inf, 0.5, p),
+    lambda p: asymptotic_limit(2.0, math.inf, p),
+    lambda p: asymptotic_limit(2.0, math.nan, p),
+])
+def test_rejects_non_finite_bandwidth(solve, base_params):
+    with pytest.raises(DomainError, match="finite"):
+        solve(base_params)
 
 
 class TestSolveNash:
@@ -189,6 +210,23 @@ class TestMneBoundary:
         self._assert_mne(res, base_params)
 
 
+def _split(bw, active, c_u, params):
+    """Small-cell split with the ``active`` providers in small-cells, summing
+    their bandwidth in index order; None where the first-order system has no
+    solution."""
+    active = sorted(active)
+    sum_b_active = sum(bw[i] for i in active)
+    root = _active_root(sum(bw), sum_b_active, len(active), c_u, params)
+    if root is None:
+        return None
+    t_s, c = root
+    mean_b = sum_b_active / len(active)
+    b_small = [0.0] * len(bw)
+    for i in active:
+        b_small[i] = t_s / len(active) + c * (bw[i] - mean_b)
+    return b_small
+
+
 def test_monotone_order_agrees_with_every_pinned_subset():
     """Pinning the smallest providers first finds every equilibrium there is:
     no pinned subset passes the KKT check with a different split, and none
@@ -213,7 +251,7 @@ def test_monotone_order_agrees_with_every_pinned_subset():
         for k in range(n + 1):
             for pinned in itertools.combinations(range(n), k):
                 active = [i for i in range(n) if i not in pinned]
-                b_small = _try_active_set(bw, active, c_u, params) if active else [0.0] * n
+                b_small = _split(bw, active, c_u, params) if active else [0.0] * n
                 if b_small is not None and _check_candidate(
                     bw, b_small, set(pinned), c_u, params
                 ) is not None:
@@ -228,6 +266,70 @@ def test_monotone_order_agrees_with_every_pinned_subset():
         for b_small in passing:
             assert all(abs(s - f) <= 1e-9 * b for s, f, b in zip(b_small, found, bw))
     assert answered >= 250
+
+
+def _large_profiles(n):
+    """Seeded N-provider profiles: no unlicensed band, a share of the MNE
+    bound, and just under the bound, where most providers are pinned."""
+    rng = random.Random(500 + n)
+    for share in (0.0, 0.3, 0.7, 0.9, 0.97, 0.995):
+        params = random_params(rng)
+        bw = [10 ** rng.uniform(-1, 1) for _ in range(n)]
+        yield params, bw, _b_u_for_capacity(share * mne_capacity_bound(bw, params), params)
+
+
+def _scan_every_candidate(bw, b_u, params):
+    """solve_nash's candidate scan without its shortcuts: every pinned count
+    of the smallest-first order, each active set summed in index order and
+    its split put through the full KKT check.  Returns (pinned, b_small)."""
+    n = len(bw)
+    c_u = params.lambda_u * b_u * params.r0
+    order = sorted(range(n), key=lambda i: (bw[i], i))
+    pinned_counts = range(n) if c_u < mne_capacity_bound(bw, params) else ()
+    for k in pinned_counts:
+        b_small = _split(bw, order[k:], c_u, params)
+        pinned = set(order[:k])
+        if b_small is not None and _check_candidate(bw, b_small, pinned, c_u, params) is not None:
+            return pinned, b_small
+    if _check_candidate(bw, [0.0] * n, set(range(n)), c_u, params) is None:
+        raise SolverConsistencyError("no candidate passes")
+    return set(range(n)), [0.0] * n
+
+
+@pytest.mark.parametrize("n", [50, 120, 300])
+def test_linear_scan_matches_every_candidate_scan(n):
+    classes = set()
+    for params, bw, b_u in _large_profiles(n):
+        try:
+            pinned, want = _scan_every_candidate(bw, b_u, params)
+        except SolverConsistencyError:
+            with pytest.raises(SolverConsistencyError):
+                solve_nash(bw, b_u, params)
+            continue
+        res = solve_nash(bw, b_u, params)
+        classes.add(res.classification)
+        assert res.macro_only_set == frozenset(pinned)
+        got = [b_s for _, b_s in res.profile.per_sp]
+        assert all(abs(g - w) <= 1e-12 * b for g, w, b in zip(got, want, bw))
+    assert EquilibriumClass.MPNE in classes
+
+
+def test_nash_scan_checks_at_most_two_candidates(monkeypatch):
+    checks = []
+    real = oligopoly._check_candidate
+
+    def counted(*args):
+        checks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oligopoly, "_check_candidate", counted)
+    pinned_most = 0
+    for params, bw, b_u in _large_profiles(300):
+        checks.clear()
+        res = solve_nash(bw, b_u, params)
+        assert len(checks) <= 2
+        pinned_most += len(res.macro_only_set) > len(bw) // 2
+    assert pinned_most >= 1
 
 
 class TestBestResponse:
