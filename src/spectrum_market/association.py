@@ -130,6 +130,8 @@ def solve_association(profile: AllocationProfile, params: MarketParams) -> Assoc
     b_macro, b_small = zip(*per_sp)
     total_b_macro, total_b_small = sum(b_macro), sum(b_small)
     c_m, c_s, c_u = _capacities(total_b_macro, total_b_small, profile.b_unlicensed, params)
+    if not c_m + c_s + c_u < math.inf:
+        raise DomainError("rate capacities overflow: bandwidth times lambda * r0 is not finite")
     if c_m == 0.0 and c_s == 0.0 and c_u == 0.0:
         raise DegenerateScenarioError("all service capacities are zero")
     if c_m == 0.0 and params.n_mobile > 0:

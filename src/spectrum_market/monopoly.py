@@ -45,28 +45,26 @@ def beta_tilde(params: MarketParams) -> float:
     )
 
 
-def threshold_rev(B: float, params: MarketParams) -> float:
-    """Unlicensed capacity above which a revenue maximizer abandons small-cells."""
+def _exit_capacity(B: float, base: float, params: MarketParams) -> float:
+    """kappa * N_f * B * R0 / N_m * base^(1/alpha): the unlicensed capacity at
+    which an optimizer with this ``base`` abandons small-cells."""
     if not 0.0 < B < math.inf:
         raise DomainError("total bandwidth must be positive and finite")
-    a = params.alpha
     try:
-        factor = (params.lambda_s / (1.0 - a)) ** (1.0 / a)
+        factor = base ** (1.0 / params.alpha)
     except OverflowError:
         return math.inf  # a near 0: no unlicensed capacity can displace small-cells
     return params.kappa * params.n_fixed * B * params.r0 / params.n_mobile * factor
 
 
+def threshold_rev(B: float, params: MarketParams) -> float:
+    """Unlicensed capacity above which a revenue maximizer abandons small-cells."""
+    return _exit_capacity(B, params.lambda_s / (1.0 - params.alpha), params)
+
+
 def threshold_sw(B: float, params: MarketParams) -> float:
     """Unlicensed capacity above which a welfare maximizer abandons small-cells."""
-    if not 0.0 < B < math.inf:
-        raise DomainError("total bandwidth must be positive and finite")
-    a = params.alpha
-    try:
-        factor = ((a + 1.0) * params.lambda_s) ** (1.0 / a)
-    except OverflowError:
-        return math.inf
-    return params.kappa * params.n_fixed * B * params.r0 * factor / params.n_mobile
+    return _exit_capacity(B, (params.alpha + 1.0) * params.lambda_s, params)
 
 
 def _foc(b_s: float, B: float, c_u: float, params: MarketParams, w: float,

@@ -114,7 +114,7 @@ def _active_root(total_b, sum_b_active, n_active, c_u, params):
         return lhs - rhs
 
     lo = 1e-14 * sum_b_active
-    hi = sum_b_active * (1.0 - 1e-12)
+    hi = sum_b_active - lo
     if c_u == 0.0:
         f_lo = math.inf  # r_s -> 0 as t_s -> 0, marginal revenue diverges
     else:
@@ -135,9 +135,10 @@ def _active_root(total_b, sum_b_active, n_active, c_u, params):
 def _nash_candidates(bandwidths, c_u, params):
     """Yield (pinned set, small-cell split) for each pinned set of the
     smallest-first order whose smallest active provider has an interior
-    split; the split is built only for those."""
+    split; the split is built only for those.  The macro-only profile,
+    every provider pinned, comes last."""
     n = len(bandwidths)
-    order = sorted(range(n), key=lambda i: (bandwidths[i], i))
+    order = sorted(range(n), key=bandwidths.__getitem__)
     total_b = sum(bandwidths)
     pinned_b = 0.0  # running sum of the pinned, smallest bandwidths
     for n_pinned, i_min in enumerate(order):
@@ -157,6 +158,7 @@ def _nash_candidates(bandwidths, c_u, params):
         for i in order[n_pinned:]:
             b_small[i] = share + c * (bandwidths[i] - mean_b)
         yield set(order[:n_pinned]), b_small
+    yield set(order), [0.0] * n
 
 
 def _check_candidate(bandwidths, b_small, pinned, c_u, params):
@@ -188,44 +190,6 @@ def _check_candidate(bandwidths, b_small, pinned, c_u, params):
     return residuals
 
 
-def _build_result(bandwidths, b_small, pinned, b_unlicensed, params, residuals):
-    profile = AllocationProfile(
-        [(b - s, s) for b, s in zip(bandwidths, b_small)], b_unlicensed
-    )
-    outcome = solve_association(profile, params)
-    assert outcome.regime is Regime.SEPARATE_SERVICE
-    if not pinned:
-        cls = EquilibriumClass.MSNE
-    elif len(pinned) == len(bandwidths):
-        cls = EquilibriumClass.MNE
-    else:
-        cls = EquilibriumClass.MPNE
-    return EquilibriumResult(
-        classification=cls,
-        profile=profile,
-        macro_only_set=frozenset(pinned),
-        outcome=outcome,
-        kkt_residuals=tuple(residuals),
-    )
-
-
-def _first_equilibrium(bandwidths, b_unlicensed, c_u, params, candidates=()):
-    """Build the first candidate that passes the KKT check.
-
-    ``candidates`` yields (pinned set, small-cell split or None); the
-    macro-only profile, every provider pinned, is tried after them.
-    """
-    n = len(bandwidths)
-    macro_only = [(set(range(n)), [0.0] * n)]
-    for pinned, b_small in (c for part in (candidates, macro_only) for c in part):
-        if b_small is None:
-            continue
-        residuals = _check_candidate(bandwidths, b_small, pinned, c_u, params)
-        if residuals is not None:
-            return _build_result(bandwidths, b_small, pinned, b_unlicensed, params, residuals)
-    raise SolverConsistencyError(f"no consistent equilibrium assignment found for {n} providers")
-
-
 def solve_nash(bandwidths, b_unlicensed: float, params: MarketParams) -> EquilibriumResult:
     """Compute the unique bandwidth-stage Nash equilibrium."""
     bandwidths = [float(b) for b in bandwidths]
@@ -234,13 +198,36 @@ def solve_nash(bandwidths, b_unlicensed: float, params: MarketParams) -> Equilib
     if not 0.0 <= b_unlicensed < math.inf:
         raise DomainError("unlicensed bandwidth must be non-negative and finite")
     c_u = params.lambda_u * b_unlicensed * params.r0
+    n = len(bandwidths)
 
     if c_u >= mne_capacity_bound(bandwidths, params):
-        return _first_equilibrium(bandwidths, b_unlicensed, c_u, params)
-
-    # Providers exit small-cells smallest-bandwidth first.
-    candidates = _nash_candidates(bandwidths, c_u, params)
-    return _first_equilibrium(bandwidths, b_unlicensed, c_u, params, candidates)
+        candidates = [(set(range(n)), [0.0] * n)]
+    else:
+        # Providers exit small-cells smallest-bandwidth first.
+        candidates = _nash_candidates(bandwidths, c_u, params)
+    for pinned, b_small in candidates:
+        residuals = _check_candidate(bandwidths, b_small, pinned, c_u, params)
+        if residuals is None:
+            continue
+        profile = AllocationProfile(
+            [(b - s, s) for b, s in zip(bandwidths, b_small)], b_unlicensed
+        )
+        outcome = solve_association(profile, params)
+        assert outcome.regime is Regime.SEPARATE_SERVICE
+        if not pinned:
+            cls = EquilibriumClass.MSNE
+        elif len(pinned) == n:
+            cls = EquilibriumClass.MNE
+        else:
+            cls = EquilibriumClass.MPNE
+        return EquilibriumResult(
+            classification=cls,
+            profile=profile,
+            macro_only_set=frozenset(pinned),
+            outcome=outcome,
+            kkt_residuals=tuple(residuals),
+        )
+    raise SolverConsistencyError(f"no consistent equilibrium assignment found for {n} providers")
 
 
 def best_response(
@@ -280,41 +267,7 @@ def symmetric_equilibrium(
     """Equilibrium when all n providers hold the same bandwidth B."""
     if n < 1:
         raise DomainError("need at least one provider")
-    if not 0.0 < B < math.inf:
-        raise DomainError("per-provider bandwidth must be positive and finite")
-    if not 0.0 <= b_unlicensed < math.inf:
-        raise DomainError("unlicensed bandwidth must be non-negative and finite")
-    c_u = params.lambda_u * b_unlicensed * params.r0
-    bandwidths = [B] * n
-
-    if c_u >= symmetric_mne_bound(n, B, params):
-        return _first_equilibrium(bandwidths, b_unlicensed, c_u, params)
-
-    kap = params.kappa
-    n_f, n_m, r0, lam_s = params.n_fixed, params.n_mobile, params.r0, params.lambda_s
-
-    def residual(b_s):
-        # per-provider first-order equality at the symmetric profile
-        r_s = (c_u + kap * lam_s * n * b_s * r0) / (kap * n_f)
-        r_m = n * (B - b_s) * r0 / n_m
-        return _marginal_small(b_s, r_s, params) - _marginal_macro(B - b_s, r_m, params)
-
-    eps = 1e-14 * B
-    f_lo = math.inf if c_u == 0.0 else residual(eps)
-    b_small = None  # an unbracketed root leaves only the macro-only candidate
-    if f_lo > 0 > residual(B - eps):
-        b_small = [brentq(residual, eps, B - eps, xtol=1e-16, rtol=8.9e-16)] * n
-    return _first_equilibrium(bandwidths, b_unlicensed, c_u, params, [(set(), b_small)])
-
-
-def symmetric_mne_bound(n: int, B: float, params: MarketParams) -> float:
-    """Unlicensed capacity at which n equal-bandwidth providers go macro-only."""
-    a = params.alpha
-    return (
-        params.r0 * n * B
-        * (params.lambda_s / (1.0 - a / n)) ** (1.0 / a)
-        * params.kappa * params.n_fixed / params.n_mobile
-    )
+    return solve_nash([B] * n, b_unlicensed, params)
 
 
 @dataclass(frozen=True)

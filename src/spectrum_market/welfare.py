@@ -179,8 +179,8 @@ def _kink_gap(series: str, B: float, params: MarketParams):
     if series == SERIES_MONOPOLY_WELFARE:
         return lambda b_u: lam_u * b_u * r0 - monopoly.threshold_sw(B - b_u, params)
     if series == SERIES_DUOPOLY:
-        return lambda b_u: lam_u * b_u * r0 - oligopoly.symmetric_mne_bound(
-            2, (B - b_u) / 2.0, params
+        return lambda b_u: lam_u * b_u * r0 - oligopoly.mne_capacity_bound(
+            [(B - b_u) / 2.0] * 2, params
         )
     if series == SERIES_PERFECT_COMPETITION:
         return lambda b_u: (

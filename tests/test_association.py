@@ -114,6 +114,24 @@ def test_profile_rejects_non_finite_bandwidth(per_sp, b_u):
         AllocationProfile(per_sp, b_u)
 
 
+@pytest.mark.parametrize("per_sp, b_u", [
+    ([(1e307, 1e307)], 1e307),
+    ([(1e307, 1.0)], 0.0),
+    ([(1.0, 1e306)], 0.0),
+    ([(1.0, 1.0)], 1e307),
+    ([(1e307, 0.0), (1e307, 0.0)], 0.0),
+])
+def test_solve_association_rejects_overflowing_capacity(per_sp, b_u, base_params):
+    # finite bandwidths whose rate capacity lambda * b * r0 is not finite
+    with pytest.raises(DomainError, match="overflow"):
+        solve_association(AllocationProfile(per_sp, b_u), base_params)
+
+
+def test_solve_association_large_finite_capacity(base_params):
+    out = solve_association(AllocationProfile([(1e300, 1e300)], 1e300), base_params)
+    assert all(math.isfinite(x) for x in (out.social_welfare, *out.revenue_per_sp))
+
+
 def test_solve_association_uses_the_cached_kappa(base_params, monkeypatch):
     calls = []
     real = core.kappa

@@ -132,6 +132,20 @@ def test_non_finite_section_value(tmp_path, capsys, command, section):
     assert "expected a finite number" in captured.err
 
 
+@pytest.mark.parametrize("command, section", [
+    ("associate", {"per_sp": [[1e307, 1e307]], "b_unlicensed": 1e307}),
+    ("monopoly", {"total_bandwidth": 1e307}),
+    ("nash", {"bandwidths": [1.0, 1.0], "b_unlicensed": 1e307}),
+])
+def test_overflowing_capacity(tmp_path, capsys, command, section):
+    # finite bandwidths whose rate capacity is not: exit 2, no NaN report
+    path = _write(tmp_path, "s.json", _scenario(**{command: section}))
+    assert cli.main([command, "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rate capacities overflow" in captured.err
+
+
 class TestCommands:
     def test_monopoly_report(self, tmp_path, capsys):
         path = _write(tmp_path, "s.json", _scenario(

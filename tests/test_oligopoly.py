@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from spectrum_market.core import DomainError, MarketParams, SolverConsistencyError
+from spectrum_market.cli import _FIGURE_SCENARIOS
+from spectrum_market.core import DomainError, MarketParams, SolverConsistencyError, brentq
 from spectrum_market.association import AllocationProfile, Regime
 from spectrum_market.monopoly import optimize_revenue, optimize_welfare, threshold_rev
 from spectrum_market import oligopoly
@@ -18,7 +19,6 @@ from spectrum_market.oligopoly import (
     mne_condition,
     solve_nash,
     symmetric_equilibrium,
-    symmetric_mne_bound,
 )
 
 from conftest import random_params
@@ -26,6 +26,19 @@ from conftest import random_params
 
 def _b_u_for_capacity(c_u, params):
     return c_u / (params.lambda_u * params.r0)
+
+
+def _corollary_bound(n, B, params):
+    """Closed-form MNE capacity for n providers that each hold bandwidth B."""
+    a = params.alpha
+    return (
+        params.r0 * n * B
+        * (params.lambda_s / (1.0 - a / n)) ** (1.0 / a)
+        * params.kappa * params.n_fixed / params.n_mobile
+    )
+
+
+_FIGURE_PARAMS = [MarketParams(**s["params"]) for s in _FIGURE_SCENARIOS.values()]
 
 
 class TestMneCondition:
@@ -45,7 +58,7 @@ class TestMneCondition:
             n = rng.randint(1, 5)
             B = rng.uniform(0.2, 4.0)
             assert mne_capacity_bound([B] * n, params) == pytest.approx(
-                symmetric_mne_bound(n, B, params), rel=1e-12
+                _corollary_bound(n, B, params), rel=1e-12
             )
 
     def test_never_mne_without_unlicensed(self, base_params):
@@ -205,7 +218,7 @@ class TestMneBoundary:
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_symmetric_equilibrium(self, base_params, n):
-        c_u = (1 - 1e-12) * symmetric_mne_bound(n, 1.0, base_params)
+        c_u = (1 - 1e-12) * mne_capacity_bound([1.0] * n, base_params)
         res = symmetric_equilibrium(n, 1.0, _b_u_for_capacity(c_u, base_params), base_params)
         self._assert_mne(res, base_params)
 
@@ -402,22 +415,90 @@ class TestBestResponse:
             best_response(0, profile, base_params, grid_points=1)
 
 
+def _symmetric_reference(n, B, b_u, params):
+    """The symmetric game solved on its own: the per-provider first-order
+    root on [1e-14 B, B - 1e-14 B], kept if it passes the KKT check, else
+    the macro-only profile.  Returns (class, per-provider small-cell split)."""
+    a, kap = params.alpha, params.kappa
+    n_f, n_m, r0, lam_s = params.n_fixed, params.n_mobile, params.r0, params.lambda_s
+    c_u = params.lambda_u * b_u * r0
+
+    def residual(b_s):
+        r_s = (c_u + kap * lam_s * n * b_s * r0) / (kap * n_f)
+        r_m = n * (B - b_s) * r0 / n_m
+        m_small = lam_s * (r_s ** -a - a * (lam_s * b_s * r0 / n_f) * r_s ** (-a - 1.0))
+        m_macro = r_m ** -a - a * ((B - b_s) * r0 / n_m) * r_m ** (-a - 1.0)
+        return m_small - m_macro
+
+    eps = 1e-14 * B
+    if c_u < _corollary_bound(n, B, params):
+        f_lo = math.inf if c_u == 0.0 else residual(eps)
+        if f_lo > 0 > residual(B - eps):
+            b_s = brentq(residual, eps, B - eps, xtol=1e-16, rtol=8.9e-16)
+            if _check_candidate([B] * n, [b_s] * n, set(), c_u, params) is not None:
+                return EquilibriumClass.MSNE, b_s
+    return EquilibriumClass.MNE, 0.0
+
+
+def _symmetric_draws():
+    rng = random.Random(70)
+    for _ in range(15):
+        params = random_params(rng)
+        n = rng.randint(1, 5)
+        B = rng.uniform(0.2, 3.0)
+        yield n, B, rng.choice([0.0, rng.uniform(0.0, 1.5)]), params
+    # the sweep and optimal-split games of the figures: B_total = 2 shared by n
+    for params in _FIGURE_PARAMS[1:]:
+        for n in (1, 2, 8):
+            for k in range(41):
+                b_u = 2.0 * k / 41
+                yield n, (2.0 - b_u) / n, b_u, params
+
+
 class TestSymmetric:
     def test_agrees_with_general_solver(self):
-        rng = random.Random(70)
-        for _ in range(15):
-            params = random_params(rng)
-            n = rng.randint(1, 5)
-            B = rng.uniform(0.2, 3.0)
-            b_u = rng.choice([0.0, rng.uniform(0.0, 1.5)])
-            sym = symmetric_equilibrium(n, B, b_u, params)
-            gen = solve_nash([B] * n, b_u, params)
-            assert sym.classification is gen.classification
-            for (_, s1), (_, s2) in zip(sym.profile.per_sp, gen.profile.per_sp):
-                assert abs(s1 - s2) < 1e-6
+        """solve_nash on equal shares matches the symmetric game solved on
+        its own, per provider."""
+        classes = set()
+        for n, B, b_u, params in _symmetric_draws():
+            cls, b_s = _symmetric_reference(n, B, b_u, params)
+            res = symmetric_equilibrium(n, B, b_u, params)
+            assert res.classification is cls
+            classes.add(cls)
+            assert all(abs(s - b_s) <= 1e-13 * B for _, s in res.profile.per_sp)
+        assert classes == {EquilibriumClass.MSNE, EquilibriumClass.MNE}
+
+    @pytest.mark.parametrize("params", _FIGURE_PARAMS)
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_one_root_per_solve(self, monkeypatch, params, n):
+        calls = []
+        real = oligopoly.brentq
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oligopoly, "brentq", counted)
+        for share in (0.0, 0.5):
+            b_u = _b_u_for_capacity(share * mne_capacity_bound([1.0] * n, params), params)
+            calls.clear()
+            res = symmetric_equilibrium(n, 1.0, b_u, params)
+            assert res.classification is EquilibriumClass.MSNE
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("alpha", [0.13, 0.14])
+    def test_near_linear_utility_without_unlicensed_band(self, alpha):
+        # the macro-cells keep between 1e-14 and 1e-12 of the band at equilibrium
+        params = MarketParams(alpha=alpha, n_fixed=50, n_mobile=50, r0=50,
+                              lambda_s=90, lambda_u=3)
+        for bw in ([1.0], [1.0, 1.0], [1.0, 2.0]):
+            assert solve_nash(bw, 0.0, params).classification is EquilibriumClass.MSNE
+        for n in (1, 2):
+            res = symmetric_equilibrium(n, 1.0, 0.0, params)
+            assert res.classification is EquilibriumClass.MSNE
 
     def test_threshold_continuity(self, base_params):
-        bound = symmetric_mne_bound(2, 1.0, base_params)
+        bound = mne_capacity_bound([1.0] * 2, base_params)
         below = symmetric_equilibrium(
             2, 1.0, _b_u_for_capacity(bound * (1 - 1e-6), base_params), base_params
         )
