@@ -1,9 +1,11 @@
 """Single-provider bandwidth allocation for revenue or welfare maximization.
 
 Both objectives are strictly concave in the small-cell bandwidth once the
-full band is used, so the optimum is the unique root of a first-order
-condition on (0, B), or the macro-only boundary when the unlicensed capacity
-exceeds a closed-form threshold.
+full band is used, so the optimum is the macro-only boundary when the
+unlicensed capacity exceeds a closed-form threshold, and otherwise the
+unique first-order root on (0, B).  That root is the one-provider case of
+the bandwidth game's, found by ``oligopoly._active_root`` with the objective
+as its weight.
 """
 
 from __future__ import annotations
@@ -13,15 +15,13 @@ import math
 from dataclasses import dataclass
 
 from .core import DomainError, MarketParams, SolverConsistencyError, brentq
+from .oligopoly import _active_root
 from .association import (
     AllocationProfile,
     AssociationOutcome,
     Regime,
     solve_association,
 )
-
-# Relative bracket inset for the interior root search.
-_EDGE = 1e-12
 
 
 class Objective(enum.Enum):
@@ -67,22 +67,6 @@ def threshold_sw(B: float, params: MarketParams) -> float:
     return _exit_capacity(B, (params.alpha + 1.0) * params.lambda_s, params)
 
 
-def _foc(b_s: float, B: float, c_u: float, params: MarketParams, w: float,
-         b_m: float | None = None) -> float:
-    """Marginal objective of small-cell minus macro bandwidth; ``w`` weighs the
-    utility term (1 - alpha for revenue, 1.0 for welfare) and ``b_m`` overrides
-    the macro bandwidth when B - b_s would cancel to zero."""
-    a = params.alpha
-    kap = params.kappa
-    r_m = (B - b_s if b_m is None else b_m) * params.r0 / params.n_mobile
-    r_s = (kap * params.lambda_s * b_s * params.r0 + c_u) / (kap * params.n_fixed)
-    lhs = params.lambda_s * (
-        w * r_s ** (-a) + a * (c_u / (kap * params.n_fixed)) * r_s ** (-a - 1.0)
-    )
-    rhs = w * r_m ** (-a)
-    return lhs - rhs
-
-
 def _solve(B, b_unlicensed, params, objective) -> MonopolySolution:
     if not 0.0 < B < math.inf:
         raise DomainError("total bandwidth must be positive and finite")
@@ -96,36 +80,14 @@ def _solve(B, b_unlicensed, params, objective) -> MonopolySolution:
 
     boundary = c_u >= cutoff
     if boundary:
-        b_s = 0.0
-        b_m = B - b_s
+        b_s, b_m = 0.0, B
     else:
-        eps = _EDGE * B
-        lo, hi = eps, B - eps
-        f_lo = _foc(lo, B, c_u, params, w)
-        f_hi = _foc(hi, B, c_u, params, w)
-        if f_lo <= 0:
+        root = _active_root(B, 0.0, w, c_u, params)
+        if root is None:
             raise SolverConsistencyError(
-                f"first-order condition not bracketed on (0, {B}): "
-                f"f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
+                f"first-order condition has no interior root on (0, {B})"
             )
-        if f_hi < 0:
-            b_s = brentq(_foc, lo, hi, args=(B, c_u, params, w), xtol=1e-15, rtol=8.9e-16)
-            b_m = B - b_s
-        else:
-            # Near-linear utility: the root sits at a macro bandwidth far below
-            # floating-point resolution of B - b_s, so search log(b_macro).
-            def g(t):
-                b_m = math.exp(t)
-                return _foc(B - b_m, B, c_u, params, w, b_m=b_m)
-
-            t_lo, t_hi = math.log(1e-280 * B), math.log(eps)
-            if g(t_lo) >= 0:
-                raise SolverConsistencyError(
-                    "first-order condition has no root above the "
-                    "representable macro bandwidth range"
-                )
-            b_m = math.exp(brentq(g, t_lo, t_hi, xtol=1e-13, rtol=8.9e-16))
-            b_s = B - b_m
+        b_s, b_m = root
 
     outcome = solve_association(AllocationProfile([(b_m, b_s)], b_unlicensed), params)
     assert outcome.regime is Regime.SEPARATE_SERVICE

@@ -3,11 +3,13 @@
 The price stage is closed-form (see ``association``); only the bandwidth
 stage needs solving.  The unique equilibrium is found by pinning a candidate
 set of providers to macro-only service, solving the aggregate first-order
-equality for the total small-cell bandwidth of the rest, and recovering the
-individual splits from the pairwise linear relations.  Monotonicity of the
-equilibrium in total bandwidth means the pinned set is always the providers
-with the least bandwidth, so at most N+1 candidate sets need checking; the
-last of them, every provider pinned, is the macro-only profile.
+equality for the small- and macro-cell totals of the rest, and recovering
+the individual (b_macro, b_small) splits from the pairwise linear relations.
+Monotonicity of the equilibrium in total bandwidth means the pinned set is
+always the providers with the least bandwidth, so at most N+1 candidate sets
+need checking; the last of them, every provider pinned, is the macro-only
+profile.  The aggregate root also serves the single-provider optimizers in
+``monopoly``.
 """
 
 from __future__ import annotations
@@ -85,87 +87,113 @@ def _marginal_macro(b_im: float, r_m: float, params: MarketParams) -> float:
     return r_m ** (-a) - a * (b_im * params.r0 / params.n_mobile) * r_m ** (-a - 1.0)
 
 
-def _active_root(total_b, sum_b_active, n_active, c_u, params):
-    """Solve the first-order system with ``n_active`` providers, holding
-    ``sum_b_active`` of the ``total_b`` bandwidth, in small-cells.
+def _foc(t_s, sum_b_active, pinned_b, w, c_u, params, m=None):
+    """Summed marginal objective of small-cell minus macro bandwidth over the
+    active providers, which hold ``t_s`` of their ``sum_b_active`` in
+    small-cells next to the pinned providers' ``pinned_b`` in macro-cells.
 
-    Returns (t_s, c): the active providers' total small-cell bandwidth and
-    the slope c of the pairwise relation delta b_small = c * delta b_total,
-    so provider i's split is t_s / n_active + c * (b_i - sum_b_active /
-    n_active).  Returns None if the system has no solution with positive
-    total small-cell bandwidth.
+    The weight ``w`` is n_active - alpha for revenue and 1.0 for the welfare
+    monopolist.  ``m`` overrides the active macro total when
+    sum_b_active - t_s would cancel to zero.
     """
     a = params.alpha
     kap = params.kappa
-    n_f, n_m, r0, lam_s = params.n_fixed, params.n_mobile, params.r0, params.lambda_s
+    if m is None:
+        m = sum_b_active - t_s
+    r_m = (m + pinned_b) * params.r0 / params.n_mobile
+    r_s = (kap * params.lambda_s * t_s * params.r0 + c_u) / (kap * params.n_fixed)
+    lhs = params.lambda_s * (
+        w * r_s ** (-a) + a * (c_u / (kap * params.n_fixed)) * r_s ** (-a - 1.0)
+    )
+    rhs = w * r_m ** (-a)
+    if pinned_b:
+        rhs += a * (pinned_b * params.r0 / params.n_mobile) * r_m ** (-a - 1.0)
+    return lhs - rhs
 
-    def residual(t_s):
-        # sum of the active providers' small-vs-macro marginal differences
-        r_s = (c_u + kap * lam_s * t_s * r0) / (kap * n_f)
-        r_m = (total_b - t_s) * r0 / n_m
-        lhs = lam_s * (
-            n_active * r_s ** (-a)
-            - a * (lam_s * t_s * r0 / n_f) * r_s ** (-a - 1.0)
-        )
-        rhs = (
-            n_active * r_m ** (-a)
-            - a * ((sum_b_active - t_s) * r0 / n_m) * r_m ** (-a - 1.0)
-        )
-        return lhs - rhs
 
-    lo = 1e-14 * sum_b_active
-    hi = sum_b_active - lo
-    if c_u == 0.0:
-        f_lo = math.inf  # r_s -> 0 as t_s -> 0, marginal revenue diverges
-    else:
-        f_lo = residual(lo)
+def _active_root(sum_b_active, pinned_b, w, c_u, params):
+    """Root of ``_foc`` over the splits of ``sum_b_active``.  Returns (t_s, m),
+    the active providers' small- and macro-cell totals, or None if no split
+    with both positive solves it.
+
+    The root is bracketed 1e-12 of the band inside its ends.  When it lies
+    above the top, the macro total is below the resolution of
+    sum_b_active - t_s (near-linear utility), so log(m) is searched instead.
+    """
+    args = (sum_b_active, pinned_b, w, c_u, params)
+    eps = 1e-12 * sum_b_active
+    lo, hi = eps, sum_b_active - eps
+    # without unlicensed capacity r_s -> 0 as t_s -> 0: the marginal diverges
+    f_lo = math.inf if c_u == 0.0 else _foc(lo, *args)
     if f_lo <= 0:
-        return None  # active set collectively prefers no small-cell bandwidth
-    if residual(hi) >= 0:
-        return None  # would require a provider to abandon macro-cells
-    t_s = brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        return None  # the active set collectively prefers no small-cells
+    if _foc(hi, *args) < 0:
+        t_s = brentq(_foc, lo, hi, args=args, xtol=1e-15, rtol=8.9e-16)
+        return t_s, sum_b_active - t_s
 
-    r_s = (c_u + kap * lam_s * t_s * r0) / (kap * n_f)
-    r_m = (total_b - t_s) * r0 / n_m
-    u2_s = -a * r_s ** (-a - 1.0)
-    u2_m = -a * r_m ** (-a - 1.0)
-    return t_s, (u2_m / n_m) / (lam_s ** 2 * u2_s / n_f + u2_m / n_m)
+    def g(t):
+        m = math.exp(t)
+        return _foc(sum_b_active - m, *args, m=m)
+
+    t_lo, t_hi = math.log(1e-280 * sum_b_active), math.log(eps)
+    if g(t_lo) >= 0:
+        return None  # no root above the representable macro bandwidths
+    m = math.exp(brentq(g, t_lo, t_hi, xtol=1e-13, rtol=8.9e-16))
+    return sum_b_active - m, m
 
 
 def _nash_candidates(bandwidths, c_u, params):
-    """Yield (pinned set, small-cell split) for each pinned set of the
+    """Yield (pinned set, (b_macro, b_small) pairs) for each pinned set of the
     smallest-first order whose smallest active provider has an interior
     split; the split is built only for those.  The macro-only profile,
-    every provider pinned, comes last."""
+    every provider pinned, comes last.
+
+    Active provider i gets t_s / n + c d_i in small-cells and m / n + (1 - c) d_i
+    in macro-cells, d_i = b_i - mean_b, where c = 1 / (1 + X) is the slope of
+    the pairwise first-order relations and X = lambda_s^2 (N_m / N_f)
+    (r_m / r_s)^(alpha + 1).  The smaller of the two is kept and the larger is
+    the rest of b_i, so each pair sums to b_i and a macro share far below the
+    resolution of b_i (near-linear utility) keeps its precision.
+    """
     n = len(bandwidths)
     order = sorted(range(n), key=bandwidths.__getitem__)
     total_b = sum(bandwidths)
+    a, kap, lam_s = params.alpha, params.kappa, params.lambda_s
     pinned_b = 0.0  # running sum of the pinned, smallest bandwidths
     for n_pinned, i_min in enumerate(order):
-        sum_b_active = total_b - pinned_b
-        pinned_b += bandwidths[i_min]
         n_active = n - n_pinned
-        root = _active_root(total_b, sum_b_active, n_active, c_u, params)
-        if root is None:
-            continue
-        t_s, c = root
-        share, mean_b = t_s / n_active, sum_b_active / n_active
-        b_min = bandwidths[i_min]
-        s_min = share + c * (b_min - mean_b)
-        if s_min <= _PIN_TOL * b_min or s_min >= b_min:
-            continue  # the KKT check would reject this split; skip building it
-        b_small = [0.0] * n
-        for i in order[n_pinned:]:
-            b_small[i] = share + c * (bandwidths[i] - mean_b)
-        yield set(order[:n_pinned]), b_small
-    yield set(order), [0.0] * n
+        sum_b_active = total_b - pinned_b
+        root = _active_root(sum_b_active, pinned_b, n_active - a, c_u, params)
+        if root is not None:
+            t_s, m = root
+            r_s = (kap * lam_s * t_s * params.r0 + c_u) / (kap * params.n_fixed)
+            r_m = (m + pinned_b) * params.r0 / params.n_mobile
+            x = lam_s ** 2 * (params.n_mobile / params.n_fixed) * (r_m / r_s) ** (a + 1.0)
+            c, c_bar = 1.0 / (1.0 + x), x / (1.0 + x)
+            mean_b, small, macro = sum_b_active / n_active, t_s / n_active, m / n_active
+
+            def pair(b):
+                b_m, b_s = macro + c_bar * (b - mean_b), small + c * (b - mean_b)
+                return (b_m, b - b_m) if b_m < b_s else (b - b_s, b_s)
+
+            b_min = bandwidths[i_min]
+            m_min, s_min = pair(b_min)
+            # skip building splits that the KKT check would reject
+            if s_min > _PIN_TOL * b_min and m_min > 0.0:
+                pairs = [(b, 0.0) for b in bandwidths]
+                for i in order[n_pinned:]:
+                    pairs[i] = pair(bandwidths[i])
+                yield set(order[:n_pinned]), pairs
+        pinned_b += bandwidths[i_min]
+    yield set(order), [(b, 0.0) for b in bandwidths]
 
 
-def _check_candidate(bandwidths, b_small, pinned, c_u, params):
-    """KKT verification; returns per-provider residuals or None on failure."""
+def _check_candidate(pairs, pinned, c_u, params):
+    """KKT verification of (b_macro, b_small) pairs; returns per-provider
+    residuals or None on failure."""
     kap = params.kappa
     n_f, r0, lam_s = params.n_fixed, params.r0, params.lambda_s
-    total_b = sum(bandwidths)
+    b_macro, b_small = zip(*pairs)
     t_s = sum(b_small)
     if t_s > 0:
         r_s = (c_u + kap * lam_s * t_s * r0) / (kap * n_f)
@@ -173,20 +201,20 @@ def _check_candidate(bandwidths, b_small, pinned, c_u, params):
         r_s = small_cell_shadow_rate(c_u, params)
         if r_s == 0.0:
             return None  # entering small-cells is infinitely profitable
-    r_m = (total_b - t_s) * r0 / params.n_mobile
+    r_m = sum(b_macro) * r0 / params.n_mobile
 
     residuals = []
-    for i, b_i in enumerate(bandwidths):
-        m_macro = _marginal_macro(b_i - b_small[i], r_m, params)
+    for i, (b_m, b_s) in enumerate(pairs):
+        m_macro = _marginal_macro(b_m, r_m, params)
         if i in pinned:
             gain = _marginal_small(0.0, r_s, params) - m_macro
             if gain > 1e-9 * abs(m_macro):
                 return None  # pinned provider wants to enter small-cells
             residuals.append(max(gain, 0.0))
         else:
-            if b_small[i] <= _PIN_TOL * b_i or b_small[i] >= b_i:
+            if b_s <= _PIN_TOL * (b_m + b_s) or b_m <= 0.0:
                 return None  # not an interior split
-            residuals.append(abs(_marginal_small(b_small[i], r_s, params) - m_macro))
+            residuals.append(abs(_marginal_small(b_s, r_s, params) - m_macro))
     return residuals
 
 
@@ -201,17 +229,15 @@ def solve_nash(bandwidths, b_unlicensed: float, params: MarketParams) -> Equilib
     n = len(bandwidths)
 
     if c_u >= mne_capacity_bound(bandwidths, params):
-        candidates = [(set(range(n)), [0.0] * n)]
+        candidates = [(set(range(n)), [(b, 0.0) for b in bandwidths])]
     else:
         # Providers exit small-cells smallest-bandwidth first.
         candidates = _nash_candidates(bandwidths, c_u, params)
-    for pinned, b_small in candidates:
-        residuals = _check_candidate(bandwidths, b_small, pinned, c_u, params)
+    for pinned, pairs in candidates:
+        residuals = _check_candidate(pairs, pinned, c_u, params)
         if residuals is None:
             continue
-        profile = AllocationProfile(
-            [(b - s, s) for b, s in zip(bandwidths, b_small)], b_unlicensed
-        )
+        profile = AllocationProfile(pairs, b_unlicensed)
         outcome = solve_association(profile, params)
         assert outcome.regime is Regime.SEPARATE_SERVICE
         if not pinned:

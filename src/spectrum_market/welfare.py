@@ -170,40 +170,29 @@ def optimal_split(B: float, n_sps: int, params: MarketParams,
     return B - b_u_star, b_u_star, efficient
 
 
-def _kink_gap(series: str, B: float, params: MarketParams):
-    """Signed gap between unlicensed capacity and the series' exit threshold."""
-    lam_u, r0 = params.lambda_u, params.r0
-
-    if series == SERIES_MONOPOLY_REVENUE:
-        return lambda b_u: lam_u * b_u * r0 - monopoly.threshold_rev(B - b_u, params)
-    if series == SERIES_MONOPOLY_WELFARE:
-        return lambda b_u: lam_u * b_u * r0 - monopoly.threshold_sw(B - b_u, params)
-    if series == SERIES_DUOPOLY:
-        return lambda b_u: lam_u * b_u * r0 - oligopoly.mne_capacity_bound(
-            [(B - b_u) / 2.0] * 2, params
-        )
-    if series == SERIES_PERFECT_COMPETITION:
-        return lambda b_u: (
-            lam_u * b_u
-            - (B - b_u)
-            * params.kappa * params.n_fixed
-            * params.lambda_s ** (1.0 / params.alpha)
-            / params.n_mobile
-        )
-    return None
-
-
 def find_kink(series: str, B: float, params: MarketParams) -> float | None:
-    """Unlicensed bandwidth at which the series transitions to macro-only."""
-    gap = _kink_gap(series, B, params)
-    if gap is None:
+    """Unlicensed bandwidth at which the series transitions to macro-only.
+
+    Each series' exit threshold is linear in the licensed bandwidth,
+    K (B - b_u), so the kink solves c b_u = K (B - b_u) with c the unlicensed
+    capacity per unit bandwidth: b* = K B / (c + K).  None where providers
+    never abandon small-cells on [0, B).
+    """
+    c = params.lambda_u * params.r0
+    if series == SERIES_MONOPOLY_REVENUE:
+        k = monopoly.threshold_rev(1.0, params)
+    elif series == SERIES_MONOPOLY_WELFARE:
+        k = monopoly.threshold_sw(1.0, params)
+    elif series == SERIES_DUOPOLY:
+        k = oligopoly.mne_capacity_bound([0.5, 0.5], params)
+    elif series == SERIES_PERFECT_COMPETITION:
+        c = params.lambda_u  # the limit's threshold is in units of r0
+        k = (params.kappa * params.n_fixed * params.lambda_s ** (1.0 / params.alpha)
+             / params.n_mobile)
+    else:
         return None
-    lo, hi = 0.0, B * (1.0 - 1e-12)
-    if gap(lo) >= 0:
-        return 0.0
-    if gap(hi) <= 0:
-        return None  # providers never abandon small-cells on [0, B)
-    return brentq(gap, lo, hi, xtol=1e-10)
+    b_star = k * B / (c + k)  # NaN, hence None, where K overflows to inf
+    return b_star if b_star < B * (1.0 - 1e-12) else None
 
 
 @dataclass(frozen=True)

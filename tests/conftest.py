@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from spectrum_market.cli import _FIGURE_SCENARIOS
 from spectrum_market.core import MarketParams
 
 # One line per acceptance criterion, filled by tests/test_acceptance.py and
@@ -33,3 +34,25 @@ def random_params(rng: random.Random) -> MarketParams:
         lambda_s=rng.uniform(1.01, 8.0),
         lambda_u=rng.uniform(0.05, 12.0),
     )
+
+
+def single_provider_draws(seed: int, count: int):
+    """(B, b_u, params): the four figure parameter sets at B = 2, then
+    ``count`` seeded draws over wide magnitudes, every third with alpha < 0.1
+    (near-linear utility)."""
+    for raw in _FIGURE_SCENARIOS.values():
+        params = MarketParams(**raw["params"])
+        for b_u in (0.0, 0.1, 0.5, 2.0, 10.0):
+            yield 2.0, b_u, params
+    rng = random.Random(seed)
+    for k in range(count):
+        params = MarketParams(
+            alpha=rng.uniform(0.005, 0.1) if k % 3 == 0 else rng.uniform(0.1, 0.95),
+            n_fixed=10 ** rng.uniform(-1, 4),
+            n_mobile=10 ** rng.uniform(-1, 4),
+            r0=10 ** rng.uniform(-2, 3),
+            lambda_s=1.0 + 10 ** rng.uniform(-3, 2),
+            lambda_u=10 ** rng.uniform(-3, 2),
+        )
+        B = 10 ** rng.uniform(-2, 2)
+        yield B, rng.choice([0.0, B * 10 ** rng.uniform(-4, 2)]), params

@@ -146,6 +146,19 @@ def test_overflowing_capacity(tmp_path, capsys, command, section):
     assert "rate capacities overflow" in captured.err
 
 
+def test_nash_on_a_band_beyond_float_resolution(tmp_path, capsys):
+    # a band near the top of the float range next to a unit one: the price
+    # stage rejects the equilibrium profile as out of domain (exit 2), where
+    # the first-order residual used to meet a NaN (exit 3)
+    path = _write(tmp_path, "s.json", _scenario(
+        nash={"bandwidths": [1e306, 1.0], "b_unlicensed": 1.0}
+    ))
+    assert cli.main(["nash", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 class TestCommands:
     def test_monopoly_report(self, tmp_path, capsys):
         path = _write(tmp_path, "s.json", _scenario(

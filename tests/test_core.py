@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 import subprocess
@@ -186,25 +187,31 @@ def test_brentq_makes_no_call_but_f(xtol, rtol):
     brentq makes no other Python-level call (no per-evaluation wrapper)."""
     scipy_optimize = pytest.importorskip("scipy.optimize")
     kw = {"xtol": xtol} if rtol is None else {"xtol": xtol, "rtol": rtol}
-    for f, a, b in _root_problems(random.Random(int(-math.log10(xtol)))):
-        _, info = scipy_optimize.brentq(f, a, b, full_output=True, disp=False, **kw)
-        calls = Counter()
+    # a collection inside the profiled window would record the gc callbacks too
+    gc.collect()
+    gc.disable()
+    try:
+        for f, a, b in _root_problems(random.Random(int(-math.log10(xtol)))):
+            _, info = scipy_optimize.brentq(f, a, b, full_output=True, disp=False, **kw)
+            calls = Counter()
 
-        def profile(frame, event, arg):
-            if event == "call":
-                calls[frame.f_code] += 1
+            def profile(frame, event, arg):
+                if event == "call":
+                    calls[frame.f_code] += 1
 
-        converged = True
-        sys.setprofile(profile)
-        try:
-            brentq(f, a, b, **kw)
-        except SolverConsistencyError:  # no convergence in 100 iterations
-            converged = False
-        finally:
-            sys.setprofile(None)
-        assert converged == info.converged
-        assert calls.pop(brentq.__code__) == 1
-        assert calls == Counter({f.__code__: info.function_calls})
+            converged = True
+            sys.setprofile(profile)
+            try:
+                brentq(f, a, b, **kw)
+            except SolverConsistencyError:  # no convergence in 100 iterations
+                converged = False
+            finally:
+                sys.setprofile(None)
+            assert converged == info.converged
+            assert calls.pop(brentq.__code__) == 1
+            assert calls == Counter({f.__code__: info.function_calls})
+    finally:
+        gc.enable()
 
 
 def test_brentq_args_and_exact_endpoint():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spectrum_market.core import DomainError, MarketParams
+from spectrum_market.core import DomainError, MarketParams, SolverConsistencyError, brentq
 from spectrum_market.monopoly import (
     Objective,
     beta_tilde,
@@ -17,7 +17,7 @@ from spectrum_market.monopoly import (
 from spectrum_market.association import AllocationProfile, Regime, solve_association
 from spectrum_market.oracle import GridSpec, grid_argmax
 
-from conftest import random_params
+from conftest import random_params, single_provider_draws
 
 # Interior reference instance: B=2 licensed, B_U=0.5 under the base parameters.
 # Optima frozen from a 1e-4-step grid search refined by bisection.
@@ -83,13 +83,13 @@ class TestOptimizeRevenue:
         assert abs(sol.b_small - x) < 1e-3
 
     def test_first_order_residual(self, base_params):
-        from spectrum_market.monopoly import _foc
+        from spectrum_market.oligopoly import _foc
 
         sol = optimize_revenue(2.0, 0.5, base_params)
         c_u = base_params.lambda_u * 0.5 * base_params.r0
         w = 1.0 - base_params.alpha
-        lhs = _foc(sol.b_small, 2.0, c_u, base_params, w)
-        scale = abs(_foc(1e-6, 2.0, c_u, base_params, w))
+        lhs = _foc(sol.b_small, 2.0, 0.0, w, c_u, base_params)
+        scale = abs(_foc(1e-6, 2.0, 0.0, w, c_u, base_params))
         assert abs(lhs) <= 1e-10 * scale
 
     def test_full_band_and_separate(self, base_params):
@@ -123,12 +123,12 @@ class TestOptimizeWelfare:
         assert abs(sol.b_small - x) < 1e-3
 
     def test_first_order_residual(self, base_params):
-        from spectrum_market.monopoly import _foc
+        from spectrum_market.oligopoly import _foc
 
         sol = optimize_welfare(2.0, 0.5, base_params)
         c_u = base_params.lambda_u * 0.5 * base_params.r0
-        scale = abs(_foc(1e-6, 2.0, c_u, base_params, 1.0))
-        assert abs(_foc(sol.b_small, 2.0, c_u, base_params, 1.0)) <= 1e-10 * scale
+        scale = abs(_foc(1e-6, 2.0, 0.0, 1.0, c_u, base_params))
+        assert abs(_foc(sol.b_small, 2.0, 0.0, 1.0, c_u, base_params)) <= 1e-10 * scale
 
 
 class TestComparisons:
@@ -204,3 +204,61 @@ def test_thresholds_reject_non_finite_bandwidth(base_params, threshold):
     for B in (math.inf, math.nan):
         with pytest.raises(DomainError, match="finite"):
             threshold(B, base_params)
+
+
+def _standalone_split(B, b_u, params, objective):
+    """The monopoly solver on its own first-order condition: its residual, the
+    bracket 1e-12 B inside (0, B), and the search on log(b_macro) where the
+    residual is still positive at the top.  Returns (b_macro, b_small, branch)."""
+    a, kap = params.alpha, params.kappa
+    c_u = params.lambda_u * b_u * params.r0
+    if objective is Objective.REVENUE:
+        cutoff, w = threshold_rev(B, params), 1.0 - a
+    else:
+        cutoff, w = threshold_sw(B, params), 1.0
+    if c_u >= cutoff:
+        return B, 0.0, "boundary"
+
+    def foc(b_s, b_m=None):
+        r_m = (B - b_s if b_m is None else b_m) * params.r0 / params.n_mobile
+        r_s = (kap * params.lambda_s * b_s * params.r0 + c_u) / (kap * params.n_fixed)
+        lhs = params.lambda_s * (
+            w * r_s ** (-a) + a * (c_u / (kap * params.n_fixed)) * r_s ** (-a - 1.0)
+        )
+        return lhs - w * r_m ** (-a)
+
+    eps = 1e-12 * B
+    if foc(eps) <= 0:
+        raise SolverConsistencyError("first-order condition not bracketed")
+    if foc(B - eps) < 0:
+        b_s = brentq(foc, eps, B - eps, xtol=1e-15, rtol=8.9e-16)
+        return B - b_s, b_s, "interior"
+
+    def g(t):
+        b_m = math.exp(t)
+        return foc(B - b_m, b_m)
+
+    t_lo, t_hi = math.log(1e-280 * B), math.log(eps)
+    if g(t_lo) >= 0:
+        raise SolverConsistencyError("no root above the representable macro range")
+    b_m = math.exp(brentq(g, t_lo, t_hi, xtol=1e-13, rtol=8.9e-16))
+    return b_m, B - b_m, "log-macro"
+
+
+@pytest.mark.parametrize("solve, objective", [
+    (optimize_revenue, Objective.REVENUE),
+    (optimize_welfare, Objective.SOCIAL_WELFARE),
+])
+def test_shared_root_matches_the_standalone_solver_exactly(solve, objective):
+    branches = set()
+    for B, b_u, params in single_provider_draws(1965, 400):
+        try:
+            b_m, b_s, branch = _standalone_split(B, b_u, params, objective)
+        except SolverConsistencyError:
+            with pytest.raises(SolverConsistencyError):
+                solve(B, b_u, params)
+            continue
+        sol = solve(B, b_u, params)
+        assert (sol.b_macro, sol.b_small, sol.boundary) == (b_m, b_s, branch == "boundary")
+        branches.add(branch)
+    assert branches == {"boundary", "interior", "log-macro"}

@@ -21,7 +21,7 @@ from spectrum_market.oligopoly import (
     symmetric_equilibrium,
 )
 
-from conftest import random_params
+from conftest import random_params, single_provider_draws
 
 
 def _b_u_for_capacity(c_u, params):
@@ -224,20 +224,29 @@ class TestMneBoundary:
 
 
 def _split(bw, active, c_u, params):
-    """Small-cell split with the ``active`` providers in small-cells, summing
-    their bandwidth in index order; None where the first-order system has no
-    solution."""
+    """(b_macro, b_small) pairs with the ``active`` providers in small-cells,
+    summing their bandwidth in index order; None where the first-order system
+    has no solution."""
     active = sorted(active)
+    n_active = len(active)
     sum_b_active = sum(bw[i] for i in active)
-    root = _active_root(sum(bw), sum_b_active, len(active), c_u, params)
+    pinned_b = sum(b for i, b in enumerate(bw) if i not in active)
+    root = _active_root(sum_b_active, pinned_b, n_active - params.alpha, c_u, params)
     if root is None:
         return None
-    t_s, c = root
-    mean_b = sum_b_active / len(active)
-    b_small = [0.0] * len(bw)
+    t_s, m = root
+    r_s = (params.kappa * params.lambda_s * t_s * params.r0 + c_u) / (
+        params.kappa * params.n_fixed
+    )
+    r_m = (m + pinned_b) * params.r0 / params.n_mobile
+    x = (params.lambda_s ** 2 * params.n_mobile / params.n_fixed
+         * (r_m / r_s) ** (params.alpha + 1.0))
+    mean_b = sum_b_active / n_active
+    pairs = [(b, 0.0) for b in bw]
     for i in active:
-        b_small[i] = t_s / len(active) + c * (bw[i] - mean_b)
-    return b_small
+        d = bw[i] - mean_b
+        pairs[i] = (m / n_active + x / (1.0 + x) * d, t_s / n_active + d / (1.0 + x))
+    return pairs
 
 
 def test_monotone_order_agrees_with_every_pinned_subset():
@@ -264,11 +273,11 @@ def test_monotone_order_agrees_with_every_pinned_subset():
         for k in range(n + 1):
             for pinned in itertools.combinations(range(n), k):
                 active = [i for i in range(n) if i not in pinned]
-                b_small = _split(bw, active, c_u, params) if active else [0.0] * n
-                if b_small is not None and _check_candidate(
-                    bw, b_small, set(pinned), c_u, params
+                pairs = _split(bw, active, c_u, params) if active else [(b, 0.0) for b in bw]
+                if pairs is not None and _check_candidate(
+                    pairs, set(pinned), c_u, params
                 ) is not None:
-                    passing.append(b_small)
+                    passing.append([b_s for _, b_s in pairs])
         try:
             res = solve_nash(bw, b_u, params)
         except SolverConsistencyError:
@@ -281,6 +290,51 @@ def test_monotone_order_agrees_with_every_pinned_subset():
     assert answered >= 250
 
 
+def test_single_provider_game_is_the_revenue_monopoly():
+    interior = 0
+    for B, b_u, params in single_provider_draws(2016, 400):
+        try:
+            mono = optimize_revenue(B, b_u, params)
+        except SolverConsistencyError:
+            continue
+        if mono.boundary:
+            continue
+        res = solve_nash([B], b_u, params)
+        assert tuple(res.profile.per_sp[0]) == (mono.b_macro, mono.b_small)
+        interior += 1
+    assert interior >= 250
+
+
+def _kkt_rel(res, b_u, params):
+    """Largest KKT residual relative to the marginal revenues' magnitudes,
+    rebuilt from the equilibrium rates."""
+    a, r0, lam_s = params.alpha, params.r0, params.lambda_s
+    r_m, r_s = res.outcome.r_macro, res.outcome.r_small
+    worst = 0.0
+    for b_m, b_s in res.profile.per_sp:
+        macro = (r_m ** -a, a * (b_m * r0 / params.n_mobile) * r_m ** (-a - 1.0))
+        small = (lam_s * r_s ** -a,
+                 lam_s * a * (lam_s * b_s * r0 / params.n_fixed) * r_s ** (-a - 1.0))
+        gain = (small[0] - small[1]) - (macro[0] - macro[1])
+        worst = max(worst, abs(gain) / (sum(macro) + sum(small)))
+    return worst
+
+
+@pytest.mark.parametrize("raw, bw, b_u", [
+    ({"alpha": 0.0325606, "n_fixed": 0.104322, "n_mobile": 2.59412, "r0": 58.0052,
+      "lambda_s": 3.94702, "lambda_u": 0.223542}, [10.3458], 159.5),
+    ({"alpha": 0.0321455, "n_fixed": 1433.88, "n_mobile": 0.391131, "r0": 1.34646,
+      "lambda_s": 2.48151, "lambda_u": 0.693548}, [0.0456564, 15.3675], 19.1354),
+])
+def test_near_linear_root_below_the_bracket(raw, bw, b_u):
+    # the macro-cells keep under 1e-12 of the band: only the log-macro search finds it
+    params = MarketParams(**raw)
+    res = solve_nash(bw, b_u, params)
+    assert res.classification is EquilibriumClass.MSNE
+    assert all(0.0 < b_m < 1e-12 * b for (b_m, _), b in zip(res.profile.per_sp, bw))
+    assert _kkt_rel(res, b_u, params) <= 1e-4
+
+
 def _large_profiles(n):
     """Seeded N-provider profiles: no unlicensed band, a share of the MNE
     bound, and just under the bound, where most providers are pinned."""
@@ -289,6 +343,26 @@ def _large_profiles(n):
         params = random_params(rng)
         bw = [10 ** rng.uniform(-1, 1) for _ in range(n)]
         yield params, bw, _b_u_for_capacity(share * mne_capacity_bound(bw, params), params)
+
+
+@pytest.mark.parametrize("raw, bw", [
+    ({"alpha": 0.6164341840155374, "n_fixed": 1.304747014837281,
+      "n_mobile": 0.029180292380562762, "r0": 57928.19259253589,
+      "lambda_s": 5.59500664727732, "lambda_u": 0.020936165252282042},
+     [2.0391736281672876e-08, 14762786.00502673]),
+    ({"alpha": 0.0024566654482517294, "n_fixed": 0.41791436327731524,
+      "n_mobile": 0.015573668423503812, "r0": 1.1245970467217141,
+      "lambda_s": 1.0099679394922012, "lambda_u": 107.26248054035945},
+     [1.0659362722309786e-05, 99167538.19445185, 24938374.462978005]),
+])
+def test_each_pair_sums_to_its_bandwidth(raw, bw):
+    # a provider 1e-15 to 1e-13 of the band: its two pairwise relations each
+    # carry the band's rounding, so they must not both set its split
+    for params, profile_bw, b_u in [(MarketParams(**raw), bw, 0.0), *_large_profiles(50)]:
+        res = solve_nash(profile_bw, b_u, params)
+        for (b_m, b_s), b in zip(res.profile.per_sp, profile_bw):
+            assert b_m > 0.0 and b_s >= 0.0
+            assert abs(b_m + b_s - b) <= math.ulp(b)
 
 
 def _scan_every_candidate(bw, b_u, params):
@@ -300,11 +374,11 @@ def _scan_every_candidate(bw, b_u, params):
     order = sorted(range(n), key=lambda i: (bw[i], i))
     pinned_counts = range(n) if c_u < mne_capacity_bound(bw, params) else ()
     for k in pinned_counts:
-        b_small = _split(bw, order[k:], c_u, params)
+        pairs = _split(bw, order[k:], c_u, params)
         pinned = set(order[:k])
-        if b_small is not None and _check_candidate(bw, b_small, pinned, c_u, params) is not None:
-            return pinned, b_small
-    if _check_candidate(bw, [0.0] * n, set(range(n)), c_u, params) is None:
+        if pairs is not None and _check_candidate(pairs, pinned, c_u, params) is not None:
+            return pinned, [b_s for _, b_s in pairs]
+    if _check_candidate([(b, 0.0) for b in bw], set(range(n)), c_u, params) is None:
         raise SolverConsistencyError("no candidate passes")
     return set(range(n)), [0.0] * n
 
@@ -435,7 +509,7 @@ def _symmetric_reference(n, B, b_u, params):
         f_lo = math.inf if c_u == 0.0 else residual(eps)
         if f_lo > 0 > residual(B - eps):
             b_s = brentq(residual, eps, B - eps, xtol=1e-16, rtol=8.9e-16)
-            if _check_candidate([B] * n, [b_s] * n, set(), c_u, params) is not None:
+            if _check_candidate([(B - b_s, b_s)] * n, set(), c_u, params) is not None:
                 return EquilibriumClass.MSNE, b_s
     return EquilibriumClass.MNE, 0.0
 
