@@ -47,10 +47,6 @@ class AllocationProfile:
         object.__setattr__(self, "b_unlicensed", float(b_unlicensed))
 
     @property
-    def n_sps(self) -> int:
-        return len(self.per_sp)
-
-    @property
     def total_b_macro(self) -> float:
         return sum(bm for bm, _ in self.per_sp)
 

@@ -5,7 +5,8 @@ full band is used, so the optimum is the macro-only boundary when the
 unlicensed capacity exceeds a closed-form threshold, and otherwise the
 unique first-order root on (0, B).  That root is the one-provider case of
 the bandwidth game's, found by ``oligopoly._active_root`` with the objective
-as its weight.
+as its weight, and both thresholds are ``oligopoly._exit_capacity`` with the
+objective's base.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DomainError, MarketParams, SolverConsistencyError, brentq
-from .oligopoly import _active_root
+from .oligopoly import _active_root, _exit_capacity
 from .association import (
     AllocationProfile,
     AssociationOutcome,
@@ -43,18 +44,6 @@ def beta_tilde(params: MarketParams) -> float:
     return params.n_fixed / (
         params.n_fixed + params.n_mobile * params.lambda_s ** (1.0 - 1.0 / params.alpha)
     )
-
-
-def _exit_capacity(B: float, base: float, params: MarketParams) -> float:
-    """kappa * N_f * B * R0 / N_m * base^(1/alpha): the unlicensed capacity at
-    which an optimizer with this ``base`` abandons small-cells."""
-    if not 0.0 < B < math.inf:
-        raise DomainError("total bandwidth must be positive and finite")
-    try:
-        factor = base ** (1.0 / params.alpha)
-    except OverflowError:
-        return math.inf  # a near 0: no unlicensed capacity can displace small-cells
-    return params.kappa * params.n_fixed * B * params.r0 / params.n_mobile * factor
 
 
 def threshold_rev(B: float, params: MarketParams) -> float:
@@ -90,7 +79,8 @@ def _solve(B, b_unlicensed, params, objective) -> MonopolySolution:
         b_s, b_m = root
 
     outcome = solve_association(AllocationProfile([(b_m, b_s)], b_unlicensed), params)
-    assert outcome.regime is Regime.SEPARATE_SERVICE
+    if outcome.regime is not Regime.SEPARATE_SERVICE:
+        raise SolverConsistencyError("the optimal split clears in the mixed regime")
     return MonopolySolution(
         objective=objective,
         b_macro=b_m,

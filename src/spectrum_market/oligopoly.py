@@ -6,10 +6,12 @@ set of providers to macro-only service, solving the aggregate first-order
 equality for the small- and macro-cell totals of the rest, and recovering
 the individual (b_macro, b_small) splits from the pairwise linear relations.
 Monotonicity of the equilibrium in total bandwidth means the pinned set is
-always the providers with the least bandwidth, so at most N+1 candidate sets
-need checking; the last of them, every provider pinned, is the macro-only
-profile.  The aggregate root also serves the single-provider optimizers in
-``monopoly``.
+always the providers with the least bandwidth, so the first set in that
+order whose smallest active provider splits in the interior is the
+equilibrium candidate, and the KKT check runs once, on it; when no set
+qualifies, the candidate is the macro-only profile.  The aggregate root also
+serves the single-provider optimizers in ``monopoly``, and ``_exit_capacity``
+is the one closed form of every threshold at which small-cells are abandoned.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .association import (
     AllocationProfile,
     AssociationOutcome,
     Regime,
-    small_cell_shadow_rate,
     solve_association,
 )
 
@@ -59,17 +60,23 @@ def mne_condition(bandwidths, b_unlicensed: float, params: MarketParams) -> bool
     return c_u >= mne_capacity_bound(bandwidths, params)
 
 
+def _exit_capacity(B: float, base: float, params: MarketParams) -> float:
+    """kappa * N_f * B * R0 / N_m * base^(1/alpha): the unlicensed capacity at
+    which an optimizer with this ``base`` abandons small-cells."""
+    if not 0.0 < B < math.inf:
+        raise DomainError("total bandwidth must be positive and finite")
+    try:
+        factor = base ** (1.0 / params.alpha)
+    except OverflowError:
+        return math.inf  # a near 0: no unlicensed capacity can displace small-cells
+    return params.kappa * params.n_fixed * B * params.r0 / params.n_mobile * factor
+
+
 def mne_capacity_bound(bandwidths, params: MarketParams) -> float:
     """Unlicensed capacity at which all providers abandon small-cells."""
     total = sum(bandwidths)
-    b_max = max(bandwidths)
-    a = params.alpha
-    return (
-        params.r0 * total
-        * (1.0 - a * b_max / total) ** (-1.0 / a)
-        * params.kappa * params.n_fixed * params.lambda_s ** (1.0 / a)
-        / params.n_mobile
-    )
+    a_max = params.alpha * (max(bandwidths) / total)
+    return _exit_capacity(total, params.lambda_s / (1.0 - a_max), params)
 
 
 def _marginal_small(b_is: float, r_s: float, params: MarketParams) -> float:
@@ -142,11 +149,10 @@ def _active_root(sum_b_active, pinned_b, w, c_u, params):
     return sum_b_active - m, m
 
 
-def _nash_candidates(bandwidths, c_u, params):
-    """Yield (pinned set, (b_macro, b_small) pairs) for each pinned set of the
+def _nash_candidate(bandwidths, c_u, params):
+    """(pinned set, (b_macro, b_small) pairs) of the first pinned set in the
     smallest-first order whose smallest active provider has an interior
-    split; the split is built only for those.  The macro-only profile,
-    every provider pinned, comes last.
+    split, or the macro-only profile, every provider pinned, if none has.
 
     Active provider i gets t_s / n + c d_i in small-cells and m / n + (1 - c) d_i
     in macro-cells, d_i = b_i - mean_b, where c = 1 / (1 + X) is the slope of
@@ -178,30 +184,26 @@ def _nash_candidates(bandwidths, c_u, params):
 
             b_min = bandwidths[i_min]
             m_min, s_min = pair(b_min)
-            # skip building splits that the KKT check would reject
+            # the first set whose smallest active provider screens as interior
             if s_min > _PIN_TOL * b_min and m_min > 0.0:
                 pairs = [(b, 0.0) for b in bandwidths]
                 for i in order[n_pinned:]:
                     pairs[i] = pair(bandwidths[i])
-                yield set(order[:n_pinned]), pairs
+                return set(order[:n_pinned]), pairs
         pinned_b += bandwidths[i_min]
-    yield set(order), [(b, 0.0) for b in bandwidths]
+    return set(order), [(b, 0.0) for b in bandwidths]
 
 
 def _check_candidate(pairs, pinned, c_u, params):
     """KKT verification of (b_macro, b_small) pairs; returns per-provider
     residuals or None on failure."""
     kap = params.kappa
-    n_f, r0, lam_s = params.n_fixed, params.r0, params.lambda_s
     b_macro, b_small = zip(*pairs)
-    t_s = sum(b_small)
-    if t_s > 0:
-        r_s = (c_u + kap * lam_s * t_s * r0) / (kap * n_f)
-    else:
-        r_s = small_cell_shadow_rate(c_u, params)
-        if r_s == 0.0:
-            return None  # entering small-cells is infinitely profitable
-    r_m = sum(b_macro) * r0 / params.n_mobile
+    # at t_s = 0 this is the shadow rate that prices small-cell entry
+    r_s = (c_u + kap * params.lambda_s * sum(b_small) * params.r0) / (kap * params.n_fixed)
+    if r_s == 0.0:
+        return None  # entering small-cells is infinitely profitable
+    r_m = sum(b_macro) * params.r0 / params.n_mobile
 
     residuals = []
     for i, (b_m, b_s) in enumerate(pairs):
@@ -229,31 +231,32 @@ def solve_nash(bandwidths, b_unlicensed: float, params: MarketParams) -> Equilib
     n = len(bandwidths)
 
     if c_u >= mne_capacity_bound(bandwidths, params):
-        candidates = [(set(range(n)), [(b, 0.0) for b in bandwidths])]
+        pinned, pairs = set(range(n)), [(b, 0.0) for b in bandwidths]
     else:
         # Providers exit small-cells smallest-bandwidth first.
-        candidates = _nash_candidates(bandwidths, c_u, params)
-    for pinned, pairs in candidates:
-        residuals = _check_candidate(pairs, pinned, c_u, params)
-        if residuals is None:
-            continue
-        profile = AllocationProfile(pairs, b_unlicensed)
-        outcome = solve_association(profile, params)
-        assert outcome.regime is Regime.SEPARATE_SERVICE
-        if not pinned:
-            cls = EquilibriumClass.MSNE
-        elif len(pinned) == n:
-            cls = EquilibriumClass.MNE
-        else:
-            cls = EquilibriumClass.MPNE
-        return EquilibriumResult(
-            classification=cls,
-            profile=profile,
-            macro_only_set=frozenset(pinned),
-            outcome=outcome,
-            kkt_residuals=tuple(residuals),
+        pinned, pairs = _nash_candidate(bandwidths, c_u, params)
+    residuals = _check_candidate(pairs, pinned, c_u, params)
+    if residuals is None:
+        raise SolverConsistencyError(
+            f"the equilibrium candidate for {n} providers fails its KKT check"
         )
-    raise SolverConsistencyError(f"no consistent equilibrium assignment found for {n} providers")
+    profile = AllocationProfile(pairs, b_unlicensed)
+    outcome = solve_association(profile, params)
+    if outcome.regime is not Regime.SEPARATE_SERVICE:
+        raise SolverConsistencyError("the equilibrium split clears in the mixed regime")
+    if not pinned:
+        cls = EquilibriumClass.MSNE
+    elif len(pinned) == n:
+        cls = EquilibriumClass.MNE
+    else:
+        cls = EquilibriumClass.MPNE
+    return EquilibriumResult(
+        classification=cls,
+        profile=profile,
+        macro_only_set=frozenset(pinned),
+        outcome=outcome,
+        kkt_residuals=tuple(residuals),
+    )
 
 
 def best_response(
@@ -309,23 +312,16 @@ def asymptotic_limit(
     B_total: float, b_unlicensed: float, params: MarketParams
 ) -> AsymptoticLimit:
     """Many-provider limit with total licensed bandwidth held at B_total."""
-    if not 0.0 < B_total < math.inf:
-        raise DomainError("total bandwidth must be positive and finite")
     if not 0.0 <= b_unlicensed < math.inf:
         raise DomainError("unlicensed bandwidth must be non-negative and finite")
-    a = params.alpha
-    kap = params.kappa
-    n_f, n_m, lam_s, lam_u = (
-        params.n_fixed, params.n_mobile, params.lambda_s, params.lambda_u,
-    )
-    b_u = b_unlicensed
-
-    bound = B_total * kap * n_f * lam_s ** (1.0 / a) / n_m
-    if b_u * lam_u >= bound:
+    c_u = params.lambda_u * b_unlicensed * params.r0
+    k = _exit_capacity(B_total, params.lambda_s, params)
+    if c_u >= k:
         b_s = 0.0
     else:
-        g = lam_s * n_m / (lam_s ** (1.0 / a) * n_f)
-        b_s = (B_total - b_u * lam_u * n_m / (kap * n_f * lam_s ** (1.0 / a))) / (1.0 + g)
+        b_s = B_total * (1.0 - c_u / k) / (
+            1.0 + params.kappa * params.lambda_s * B_total * params.r0 / k
+        )
     b_m = B_total - b_s
     outcome = solve_association(
         AllocationProfile([(b_m, b_s)], b_unlicensed), params

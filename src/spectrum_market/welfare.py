@@ -66,16 +66,16 @@ def planner_optimal(B: float, params: MarketParams) -> PlannerSolution:
     """Closed-form welfare-maximizing split of a total band."""
     if not 0 < B < math.inf:
         raise DomainError(f"total bandwidth must be positive and finite, got {B}")
-    a = params.alpha
     if params.lambda_s > params.lambda_u:
-        case = PlannerCase.SMALL_DOMINATES
-        mu = params.lambda_s ** (1.0 / a - 1.0)
+        case, lam = PlannerCase.SMALL_DOMINATES, params.lambda_s
     elif params.lambda_s < params.lambda_u:
-        case = PlannerCase.UNLICENSED_DOMINATES
-        mu = params.lambda_u ** (1.0 / a - 1.0)
+        case, lam = PlannerCase.UNLICENSED_DOMINATES, params.lambda_u
     else:
-        case = PlannerCase.TIE
-        mu = params.lambda_s ** (1.0 / a - 1.0)
+        case, lam = PlannerCase.TIE, params.lambda_s
+    try:
+        mu = lam ** (1.0 / params.alpha - 1.0)
+    except OverflowError:
+        mu = math.inf  # alpha near 0: b_macro is 0 at float precision
 
     b_macro = params.n_mobile * B / (params.n_mobile + mu * params.n_fixed)
     b_fixed = B - b_macro
@@ -175,22 +175,21 @@ def find_kink(series: str, B: float, params: MarketParams) -> float | None:
 
     Each series' exit threshold is linear in the licensed bandwidth,
     K (B - b_u), so the kink solves c b_u = K (B - b_u) with c the unlicensed
-    capacity per unit bandwidth: b* = K B / (c + K).  None where providers
-    never abandon small-cells on [0, B).
+    capacity per unit bandwidth: b* = K B / (c + K).  K is
+    ``oligopoly._exit_capacity`` at unit bandwidth with the series' base.
+    None where providers never abandon small-cells on [0, B).
     """
-    c = params.lambda_u * params.r0
-    if series == SERIES_MONOPOLY_REVENUE:
-        k = monopoly.threshold_rev(1.0, params)
-    elif series == SERIES_MONOPOLY_WELFARE:
-        k = monopoly.threshold_sw(1.0, params)
-    elif series == SERIES_DUOPOLY:
-        k = oligopoly.mne_capacity_bound([0.5, 0.5], params)
-    elif series == SERIES_PERFECT_COMPETITION:
-        c = params.lambda_u  # the limit's threshold is in units of r0
-        k = (params.kappa * params.n_fixed * params.lambda_s ** (1.0 / params.alpha)
-             / params.n_mobile)
-    else:
+    a, lam_s = params.alpha, params.lambda_s
+    bases = {
+        SERIES_MONOPOLY_REVENUE: lam_s / (1.0 - a),
+        SERIES_MONOPOLY_WELFARE: (a + 1.0) * lam_s,
+        SERIES_DUOPOLY: lam_s / (1.0 - a * 0.5),
+        SERIES_PERFECT_COMPETITION: lam_s,
+    }
+    if series not in bases:
         return None
+    c = params.lambda_u * params.r0
+    k = oligopoly._exit_capacity(1.0, bases[series], params)
     b_star = k * B / (c + k)  # NaN, hence None, where K overflows to inf
     return b_star if b_star < B * (1.0 - 1e-12) else None
 

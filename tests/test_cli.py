@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -157,6 +158,43 @@ def test_nash_on_a_band_beyond_float_resolution(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["planner", "nash", "sweep", "monopoly"])
+def test_near_zero_alpha_exits_without_a_traceback(tmp_path, capsys, command):
+    # lambda^(1/alpha) is beyond the float range: an answer or a model error
+    raw = _scenario(
+        planner={"total_bandwidth": 2.0},
+        nash={"bandwidths": [1.0, 1.0], "b_unlicensed": 1.0},
+        monopoly={"total_bandwidth": 2.0, "b_unlicensed": 1.0},
+        sweep={"total_bandwidth": 2.0, "grid": 21},
+    )
+    raw["params"]["alpha"] = 1e-6
+    code = cli.main([command, "--scenario", _write(tmp_path, "s.json", raw)])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in captured.err
+    if command == "planner":
+        assert code == 0
+        report = json.loads(captured.out)
+        assert all(math.isfinite(v) for v in report.values() if isinstance(v, float))
+
+
+@pytest.mark.parametrize("command, section", [
+    ("nash", {"bandwidths": [2.2951e-8], "b_unlicensed": 0.0}),
+    ("monopoly", {"total_bandwidth": 2.2951e-8, "b_unlicensed": 0.0}),
+])
+def test_split_clearing_in_the_mixed_regime_exits_3(tmp_path, capsys, command, section):
+    # a tiny band next to a large fixed-user mass: the first-order split
+    # leaves the separate-service regime, a solver contradiction
+    raw = {"schema_version": 1, "params": {
+        "alpha": 0.30923, "n_fixed": 186817.38, "n_mobile": 0.193454,
+        "r0": 0.311191, "lambda_s": 1.0002046, "lambda_u": 34.384,
+    }, command: section}
+    assert cli.main([command, "--scenario", _write(tmp_path, "s.json", raw)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mixed regime" in captured.err
 
 
 class TestCommands:

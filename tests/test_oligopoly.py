@@ -5,7 +5,13 @@ import random
 import pytest
 
 from spectrum_market.cli import _FIGURE_SCENARIOS
-from spectrum_market.core import DomainError, MarketParams, SolverConsistencyError, brentq
+from spectrum_market.core import (
+    DomainError,
+    MarketParams,
+    MobileUnservableError,
+    SolverConsistencyError,
+    brentq,
+)
 from spectrum_market.association import AllocationProfile, Regime
 from spectrum_market.monopoly import optimize_revenue, optimize_welfare, threshold_rev
 from spectrum_market import oligopoly
@@ -47,9 +53,7 @@ class TestMneCondition:
         for _ in range(20):
             params = random_params(rng)
             B = rng.uniform(0.2, 4.0)
-            assert mne_capacity_bound([B], params) == pytest.approx(
-                threshold_rev(B, params), rel=1e-12
-            )
+            assert mne_capacity_bound([B], params) == threshold_rev(B, params)
 
     def test_symmetric_reduces_to_corollary(self):
         rng = random.Random(4)
@@ -401,7 +405,7 @@ def test_linear_scan_matches_every_candidate_scan(n):
     assert EquilibriumClass.MPNE in classes
 
 
-def test_nash_scan_checks_at_most_two_candidates(monkeypatch):
+def test_nash_scan_checks_exactly_one_candidate(monkeypatch):
     checks = []
     real = oligopoly._check_candidate
 
@@ -414,7 +418,7 @@ def test_nash_scan_checks_at_most_two_candidates(monkeypatch):
     for params, bw, b_u in _large_profiles(300):
         checks.clear()
         res = solve_nash(bw, b_u, params)
-        assert len(checks) <= 2
+        assert len(checks) == 1
         pinned_most += len(res.macro_only_set) > len(bw) // 2
     assert pinned_most >= 1
 
@@ -611,3 +615,33 @@ class TestAsymptotic:
             gaps.append(abs(n * eq.profile.per_sp[0][1] - lim.b_small))
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.01
+
+    def test_matches_the_first_closed_form(self):
+        # the limit as first written, with its own lambda_s^(1/alpha) terms
+        def first_b_small(B, b_u, params):
+            a, kap = params.alpha, params.kappa
+            n_f, n_m, lam_s, lam_u = (
+                params.n_fixed, params.n_mobile, params.lambda_s, params.lambda_u,
+            )
+            if b_u * lam_u >= B * kap * n_f * lam_s ** (1.0 / a) / n_m:
+                return 0.0
+            g = lam_s * n_m / (lam_s ** (1.0 / a) * n_f)
+            return (B - b_u * lam_u * n_m / (kap * n_f * lam_s ** (1.0 / a))) / (1.0 + g)
+
+        compared = zeros = 0
+        for B, b_u, params in single_provider_draws(29, 600):
+            try:
+                want = first_b_small(B, b_u, params)
+            except OverflowError:
+                continue
+            try:
+                got = asymptotic_limit(B, b_u, params).b_small
+            except MobileUnservableError:
+                # no macro bandwidth is left at float precision
+                assert want >= B * (1.0 - 1e-15)
+                continue
+            assert abs(got - want) <= 1e-15 * B
+            assert (got == 0.0) == (want == 0.0)
+            compared += 1
+            zeros += want == 0.0
+        assert compared >= 500 and zeros >= 20

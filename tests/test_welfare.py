@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from spectrum_market.core import DomainError, MarketParams
+from spectrum_market import oligopoly
+from spectrum_market.core import DomainError, MarketModelError, MarketParams
 from spectrum_market.welfare import (
     ALL_SERIES,
     SERIES_DUOPOLY,
@@ -16,6 +19,8 @@ from spectrum_market.welfare import (
     planner_optimal,
     welfare_sweep,
 )
+
+from conftest import single_provider_draws
 
 
 def _params(alpha, lambda_u, lambda_s=4):
@@ -128,6 +133,70 @@ class TestKinks:
         above = optimize_revenue(2.0 - (b_k + 1e-4), b_k + 1e-4, CASE_B)
         assert below.b_small > 0
         assert above.b_small == 0.0
+
+
+    def test_matches_the_first_closed_forms(self):
+        # each series' threshold as first written, with its own
+        # lambda_s^(1/alpha) term; the limit's threshold is in units of r0
+        def first_kink(series, B, params):
+            a, r0, lam_s = params.alpha, params.r0, params.lambda_s
+            scale = params.kappa * params.n_fixed / params.n_mobile
+            c = params.lambda_u * r0
+            if series == SERIES_MONOPOLY_REVENUE:
+                k = scale * r0 * (lam_s / (1.0 - a)) ** (1.0 / a)
+            elif series == SERIES_MONOPOLY_WELFARE:
+                k = scale * r0 * ((a + 1.0) * lam_s) ** (1.0 / a)
+            elif series == SERIES_DUOPOLY:
+                k = r0 * (1.0 - a * 0.5) ** (-1.0 / a) * scale * lam_s ** (1.0 / a)
+            else:
+                c = params.lambda_u
+                k = scale * lam_s ** (1.0 / a)
+            b_star = k * B / (c + k)
+            return b_star if b_star < B * (1.0 - 1e-12) else None
+
+        counts = {"kink": 0, "none": 0}
+        for B, b_u, params in single_provider_draws(31, 400):
+            for series in ALL_SERIES[1:]:
+                try:
+                    want = first_kink(series, B, params)
+                except OverflowError:
+                    continue
+                got = find_kink(series, B, params)
+                if want is None:
+                    assert got is None
+                    counts["none"] += 1
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                    counts["kink"] += 1
+        assert counts["kink"] >= 1000 and counts["none"] >= 10
+
+
+def test_near_zero_alpha_answers_or_raises_a_model_error():
+    # lambda^(1/alpha) leaves the float range here; every solver either
+    # answers or raises one of the package's errors, never OverflowError
+    rng = random.Random(37)
+    for k in range(150):
+        params = MarketParams(
+            alpha=1e-6 if k == 0 else 10 ** rng.uniform(-6, -2),
+            n_fixed=10 ** rng.uniform(-1, 4),
+            n_mobile=10 ** rng.uniform(-1, 4),
+            r0=10 ** rng.uniform(-2, 3),
+            lambda_s=1.0 + 10 ** rng.uniform(-3, 2),
+            lambda_u=10 ** rng.uniform(-3, 2),
+        )
+        bw = [10 ** rng.uniform(-2, 2) for _ in range(rng.randint(1, 4))]
+        b_u = rng.choice([0.0, sum(bw) * 10 ** rng.uniform(-4, 2)])
+        for call in (
+            lambda: oligopoly.solve_nash(bw, b_u, params),
+            lambda: oligopoly.mne_condition(bw, b_u, params),
+            lambda: oligopoly.asymptotic_limit(sum(bw), b_u, params),
+            lambda: planner_optimal(sum(bw) + b_u, params),
+            *(lambda s=s: find_kink(s, sum(bw) + b_u, params) for s in ALL_SERIES),
+        ):
+            try:
+                call()
+            except MarketModelError:
+                pass
 
 
 @pytest.fixture(scope="module")
