@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     DegenerateScenarioError,
     DomainError,
     MarketParams,
     MobileUnservableError,
-    marginal_utility,
-    utility,
 )
 
 
@@ -35,15 +34,17 @@ class AllocationProfile:
     b_unlicensed: float = 0.0
 
     def __init__(self, per_sp, b_unlicensed=0.0):
-        per_sp = tuple((float(bm), float(bs)) for bm, bs in per_sp)
-        if not per_sp:
-            raise DomainError("profile needs at least one provider")
+        pairs = []
         for bm, bs in per_sp:
+            bm, bs = float(bm), float(bs)
             if not (0.0 <= bm < math.inf and 0.0 <= bs < math.inf):
                 raise DomainError("bandwidths must be non-negative and finite")
+            pairs.append((bm, bs))
+        if not pairs:
+            raise DomainError("profile needs at least one provider")
         if not 0.0 <= b_unlicensed < math.inf:
             raise DomainError("unlicensed bandwidth must be non-negative and finite")
-        object.__setattr__(self, "per_sp", per_sp)
+        object.__setattr__(self, "per_sp", tuple(pairs))
         object.__setattr__(self, "b_unlicensed", float(b_unlicensed))
 
     @property
@@ -56,24 +57,20 @@ class AllocationProfile:
 
     def capacities(self, params: MarketParams):
         """Aggregate (macro, small, unlicensed) rate capacities."""
-        return _capacities(self.total_b_macro, self.total_b_small, self.b_unlicensed, params)
+        r0 = params.r0
+        return (
+            self.total_b_macro * r0,
+            params.lambda_s * self.total_b_small * r0,
+            params.lambda_u * self.b_unlicensed * r0,
+        )
 
 
-def _capacities(total_b_macro, total_b_small, b_unlicensed, params):
-    r0 = params.r0
-    return (
-        total_b_macro * r0,
-        params.lambda_s * total_b_small * r0,
-        params.lambda_u * b_unlicensed * r0,
-    )
-
-
-@dataclass(frozen=True)
-class AssociationOutcome:
+class AssociationOutcome(NamedTuple):
     """Market-clearing regime, user masses, per-user rates, prices and welfare.
 
     A tier that attracts no users carries rate 0 and price ``None`` (inactive);
-    prices are never serialized as infinities.
+    prices are never serialized as infinities.  The record is an immutable
+    named tuple: it unpacks, and compares equal to a tuple, field by field.
     """
 
     regime: Regime
@@ -85,7 +82,7 @@ class AssociationOutcome:
     r_unlicensed: float
     p_macro: float | None
     p_small: float | None
-    revenue_per_sp: tuple = field(default_factory=tuple)
+    revenue_per_sp: tuple = ()
     social_welfare: float = 0.0
 
     @property
@@ -121,11 +118,23 @@ def small_cell_shadow_rate(c_unlicensed: float, params: MarketParams) -> float:
 
 
 def solve_association(profile: AllocationProfile, params: MarketParams) -> AssociationOutcome:
-    """Compute the unique market-clearing association equilibrium."""
+    """Compute the unique market-clearing association equilibrium.
+
+    The capacities, prices and utilities are those of
+    ``AllocationProfile.capacities``, ``marginal_utility`` and ``utility``,
+    written out in the same order of operations, so the floats are theirs.
+    """
     per_sp = profile.per_sp
-    b_macro, b_small = zip(*per_sp)
-    total_b_macro, total_b_small = sum(b_macro), sum(b_small)
-    c_m, c_s, c_u = _capacities(total_b_macro, total_b_small, profile.b_unlicensed, params)
+    if len(per_sp) == 1:
+        ((b_m, b_s),) = per_sp
+        total_b_macro, total_b_small = 0.0 + b_m, 0.0 + b_s  # as sum() adds -0.0
+    else:
+        b_macro, b_small = zip(*per_sp)
+        total_b_macro, total_b_small = sum(b_macro), sum(b_small)
+    r0, lam_s = params.r0, params.lambda_s
+    c_m = total_b_macro * r0
+    c_s = lam_s * total_b_small * r0
+    c_u = params.lambda_u * profile.b_unlicensed * r0
     if not c_m + c_s + c_u < math.inf:
         raise DomainError("rate capacities overflow: bandwidth times lambda * r0 is not finite")
     if c_m == 0.0 and c_s == 0.0 and c_u == 0.0:
@@ -138,24 +147,20 @@ def solve_association(profile: AllocationProfile, params: MarketParams) -> Assoc
     alpha = params.alpha
     kap = params.kappa
     n_f, n_m = params.n_fixed, params.n_mobile
-    n_t = n_f + n_m
 
     if total_b_small < _threshold(total_b_macro, c_u, params):
+        n_t = n_f + n_m
         denom = c_u + kap * (c_m + c_s)
         k_u = n_t * c_u / denom
         k_m = n_t * kap * c_m / denom
         k_s = n_t * kap * c_s / denom
-        r_lic = denom / (kap * n_t)  # common per-user rate in licensed spectrum
-        r_m = r_lic
-        r_s = r_lic if k_s > 0 else 0.0
-        r_u = kap * r_lic if k_u > 0 else 0.0
-        p_m = marginal_utility(r_lic, alpha)
-        p_s = p_m if k_s > 0 else None
+        r_m = denom / (kap * n_t)  # common per-user rate in licensed spectrum
+        r_s = r_m if k_s > 0 else 0.0
+        r_u = kap * r_m if k_u > 0 else 0.0
         regime = Regime.MIXED_SERVICE
     else:
         k_m = n_m
         r_m = c_m / n_m
-        p_m = marginal_utility(r_m, alpha)
         denom = kap * c_s + c_u
         if denom > 0:
             k_s = n_f * kap * c_s / denom
@@ -167,29 +172,27 @@ def solve_association(profile: AllocationProfile, params: MarketParams) -> Assoc
             k_s = k_u = 0.0
         r_s = c_s / k_s if k_s > 0 else 0.0
         r_u = c_u / k_u if k_u > 0 else 0.0
-        p_s = marginal_utility(r_s, alpha) if k_s > 0 else None
         regime = Regime.SEPARATE_SERVICE
 
-    p_s_val = p_s if p_s is not None else 0.0
-    r0, lam_s = params.r0, params.lambda_s
-    revenues = tuple(bm * r0 * p_m + lam_s * bs * r0 * p_s_val for bm, bs in per_sp)
+    # prices are u'(r) = r^-alpha; an inactive small-cell tier has none
+    if r_m <= 0:
+        raise DomainError(f"rate must be positive, got {r_m}")
+    p_m = r_m ** -alpha
+    if k_s > 0:
+        if r_s <= 0:
+            raise DomainError(f"rate must be positive, got {r_s}")
+        p_s = p_s_val = r_s ** -alpha
+    else:
+        p_s, p_s_val = None, 0.0
+    if len(per_sp) == 1:
+        revenues = (b_m * r0 * p_m + lam_s * b_s * r0 * p_s_val,)
+    else:
+        revenues = tuple([bm * r0 * p_m + lam_s * bs * r0 * p_s_val for bm, bs in per_sp])
 
+    e = 1.0 - alpha  # u(r) = r^e / e, and u(0) = 0
     sw = (
-        k_m * utility(r_m, alpha)
-        + k_s * utility(r_s, alpha)
-        + k_u * utility(r_u, alpha)
+        k_m * (r_m ** e / e)
+        + k_s * (r_s ** e / e if r_s else 0.0)
+        + k_u * (r_u ** e / e if r_u else 0.0)
     )
-
-    return AssociationOutcome(
-        regime=regime,
-        k_macro=k_m,
-        k_small=k_s,
-        k_unlicensed=k_u,
-        r_macro=r_m,
-        r_small=r_s,
-        r_unlicensed=r_u,
-        p_macro=p_m,
-        p_small=p_s,
-        revenue_per_sp=revenues,
-        social_welfare=sw,
-    )
+    return AssociationOutcome(regime, k_m, k_s, k_u, r_m, r_s, r_u, p_m, p_s, revenues, sw)

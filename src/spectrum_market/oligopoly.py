@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import DomainError, MarketParams, SolverConsistencyError
@@ -32,6 +33,9 @@ from .association import (
 # Candidate small-cell bandwidths at or below this fraction of a provider's
 # total count as the macro-only boundary rather than an interior solution.
 _PIN_TOL = 1e-10
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)  # the smallest normal float
 
 
 class EquilibriumClass(enum.Enum):
@@ -118,6 +122,15 @@ def _foc(t_s, sum_b_active, pinned_b, w, c_u, params, m=None):
     return lhs - rhs
 
 
+def _log_macro_floor(params):
+    """log of the smallest macro total the log-macro search reaches: a normal
+    float at whose rate r_m, even with no pinned bandwidth, r_m ** (-a - 1) in
+    ``_foc`` and ``_marginal_macro`` stays a factor e below the float range."""
+    log_r_min = -(_LOG_FLOAT_MAX - 1.0) / (1.0 + params.alpha)
+    log_m_min = log_r_min + math.log(params.n_mobile) - math.log(params.r0)
+    return max(_LOG_FLOAT_MIN, log_m_min)
+
+
 def _active_root(sum_b_active, pinned_b, w, c_u, params):
     """Root of ``_foc`` over the splits of ``sum_b_active``.  Returns (t_s, m),
     the active providers' small- and macro-cell totals, or None if no split
@@ -125,7 +138,9 @@ def _active_root(sum_b_active, pinned_b, w, c_u, params):
 
     The root is bracketed 1e-12 of the band inside its ends.  When it lies
     above the top, the macro total is below the resolution of
-    sum_b_active - t_s (near-linear utility), so log(m) is searched instead.
+    sum_b_active - t_s (near-linear utility), so log(m) is searched instead:
+    from 1e-12 down to 1e-280 of the band, and only where that bracket has
+    no root, on down to ``_log_macro_floor``.
     """
     args = (sum_b_active, pinned_b, w, c_u, params)
     eps = 1e-12 * sum_b_active
@@ -144,7 +159,10 @@ def _active_root(sum_b_active, pinned_b, w, c_u, params):
 
     t_lo, t_hi = math.log(1e-280 * sum_b_active), math.log(eps)
     if g(t_lo) >= 0:
-        return None  # no root above the representable macro bandwidths
+        # no root above 1e-280 of the band: search below it, down to the floor
+        t_lo, t_hi = _log_macro_floor(params), t_lo
+        if t_lo >= t_hi or g(t_lo) >= 0:
+            return None  # no root above the representable macro bandwidths
     m = math.exp(brentq(g, t_lo, t_hi, xtol=1e-13, rtol=8.9e-16))
     return sum_b_active - m, m
 

@@ -5,8 +5,11 @@ import pytest
 
 from spectrum_market import core
 from spectrum_market.core import (
+    DegenerateScenarioError,
     DomainError,
+    MarketParams,
     MobileUnservableError,
+    marginal_utility,
     net_payoff,
     utility,
 )
@@ -208,3 +211,126 @@ class TestRandomizedInvariants:
             assert sw == pytest.approx(out.social_welfare, rel=1e-12)
             n_t_checked += 1
         assert n_t_checked == 1000
+
+
+def _reference_clearing(profile, params):
+    """The clearing as first written, field by field: totals through zip and
+    sum, capacities from the totals, prices through ``marginal_utility`` and
+    welfare through ``utility``."""
+    b_macro, b_small = zip(*profile.per_sp)
+    total_b_macro, total_b_small = sum(b_macro), sum(b_small)
+    r0 = params.r0
+    c_m = total_b_macro * r0
+    c_s = params.lambda_s * total_b_small * r0
+    c_u = params.lambda_u * profile.b_unlicensed * r0
+    if not c_m + c_s + c_u < math.inf:
+        raise DomainError("overflow")
+    if c_m == 0.0 and c_s == 0.0 and c_u == 0.0:
+        raise DegenerateScenarioError("no capacity")
+    if c_m == 0.0:
+        raise MobileUnservableError("no macro capacity")
+    alpha, kap = params.alpha, params.kappa
+    n_f, n_m = params.n_fixed, params.n_mobile
+    n_t = n_f + n_m
+    numer = kap * n_f * total_b_macro * r0 - n_m * c_u
+    threshold = 0.0 if numer <= 0 else numer / (kap * n_m * params.lambda_s * r0)
+    if total_b_small < threshold:
+        denom = c_u + kap * (c_m + c_s)
+        k_u = n_t * c_u / denom
+        k_m = n_t * kap * c_m / denom
+        k_s = n_t * kap * c_s / denom
+        r_lic = denom / (kap * n_t)
+        r_m = r_lic
+        r_s = r_lic if k_s > 0 else 0.0
+        r_u = kap * r_lic if k_u > 0 else 0.0
+        p_m = marginal_utility(r_lic, alpha)
+        p_s = p_m if k_s > 0 else None
+        regime = Regime.MIXED_SERVICE
+    else:
+        k_m = n_m
+        r_m = c_m / n_m
+        p_m = marginal_utility(r_m, alpha)
+        denom = kap * c_s + c_u
+        if denom > 0:
+            k_s = n_f * kap * c_s / denom
+            k_u = n_f * c_u / denom
+        else:
+            k_s = k_u = 0.0
+        r_s = c_s / k_s if k_s > 0 else 0.0
+        r_u = c_u / k_u if k_u > 0 else 0.0
+        p_s = marginal_utility(r_s, alpha) if k_s > 0 else None
+        regime = Regime.SEPARATE_SERVICE
+    p_s_val = p_s if p_s is not None else 0.0
+    revenues = tuple(bm * r0 * p_m + params.lambda_s * bs * r0 * p_s_val
+                     for bm, bs in profile.per_sp)
+    sw = k_m * utility(r_m, alpha) + k_s * utility(r_s, alpha) + k_u * utility(r_u, alpha)
+    return (regime, k_m, k_s, k_u, r_m, r_s, r_u, p_m, p_s, revenues, sw)
+
+
+def _clearing_draws(seed, count):
+    """Seeded (profile, params): N = 1-7 providers over wide magnitudes, every
+    third small-cell bandwidth zero and every fifth profile without any, b_u
+    zero in a third of the draws, and small-cell bandwidths over seven
+    decades, so that both regimes occur."""
+    rng = random.Random(seed)
+    for k in range(count):
+        params = MarketParams(
+            alpha=rng.uniform(1e-3, 0.999),
+            n_fixed=10 ** rng.uniform(-2, 4),
+            n_mobile=10 ** rng.uniform(-2, 4),
+            r0=10 ** rng.uniform(-2, 3),
+            lambda_s=1.0 + 10 ** rng.uniform(-3, 2),
+            lambda_u=10 ** rng.uniform(-3, 2),
+        )
+        n = 1 + k % 7
+        b_u = 0.0 if k % 3 == 0 else 10 ** rng.uniform(-4, 1)
+        per_sp = [(10 ** rng.uniform(-3, 2), 10 ** rng.uniform(-6, 1)) for _ in range(n)]
+        per_sp = [(bm, 0.0 if k % 5 == 0 or j % 3 == 2 else bs)
+                  for j, (bm, bs) in enumerate(per_sp)]
+        yield AllocationProfile(per_sp, b_u), params
+        if k % 50 == 0:  # signed zeros, which sum() adds to +0.0
+            yield AllocationProfile([(bm, -0.0) for bm, _ in per_sp], -0.0), params
+
+
+def test_clearing_is_bit_identical_to_the_reference():
+    regimes, seen = set(), set()
+    for profile, params in _clearing_draws(20260118, 4000):
+        want = _reference_clearing(profile, params)
+        got = solve_association(profile, params)
+        assert got == want and repr(tuple(got)) == repr(want)
+        assert got.total_revenue == sum(want[9])
+        regimes.add(got.regime)
+        seen.add((len(profile.per_sp), profile.b_unlicensed == 0.0,
+                  profile.total_b_small == 0.0))
+    assert regimes == {Regime.MIXED_SERVICE, Regime.SEPARATE_SERVICE}
+    assert {n for n, _, _ in seen} == set(range(1, 8))
+    assert (1, True, True) in seen and (7, True, True) in seen
+
+
+@pytest.mark.parametrize("per_sp, b_u, error, match", [
+    ([(0.0, 1.0)], 1.0, MobileUnservableError, "unservable"),
+    ([(0.0, 0.0)], 0.0, DegenerateScenarioError, "capacities are zero"),
+    ([(1e307, 1.0)], 0.0, DomainError, "overflow"),
+    # the macro rate c_m / N_m underflows to 0.0: marginal_utility's domain
+    ([(5e-324, 1.0)], 0.0, DomainError, "rate must be positive, got 0.0"),
+])
+def test_clearing_raises_what_the_reference_raises(per_sp, b_u, error, match):
+    params = MarketParams(alpha=0.5, n_fixed=50, n_mobile=1000, r0=50, lambda_s=4, lambda_u=3)
+    profile = AllocationProfile(per_sp, b_u)
+    with pytest.raises(error):
+        _reference_clearing(profile, params)
+    with pytest.raises(error, match=match):
+        solve_association(profile, params)
+
+
+def test_outcome_is_an_immutable_named_tuple(base_params):
+    out = solve_association(AllocationProfile([(1.0, 1.0), (2.0, 0.5)], 1.0), base_params)
+    total = out.total_revenue
+    with pytest.raises(AttributeError):
+        out.k_macro = 0.0
+    with pytest.raises(AttributeError):
+        out.revenue_per_sp = (0.0, 0.0)
+    assert out.total_revenue == total == sum(out.revenue_per_sp)
+    regime, k_macro, *_ = out
+    assert (regime, k_macro) == (out.regime, out.k_macro)
+    assert out == tuple(out) and out._fields[-2:] == ("revenue_per_sp", "social_welfare")

@@ -7,6 +7,7 @@ import pytest
 from spectrum_market.cli import _FIGURE_SCENARIOS
 from spectrum_market.core import (
     DomainError,
+    MarketModelError,
     MarketParams,
     MobileUnservableError,
     SolverConsistencyError,
@@ -337,6 +338,30 @@ def test_near_linear_root_below_the_bracket(raw, bw, b_u):
     assert res.classification is EquilibriumClass.MSNE
     assert all(0.0 < b_m < 1e-12 * b for (b_m, _), b in zip(res.profile.per_sp, bw))
     assert _kkt_rel(res, b_u, params) <= 1e-4
+
+
+def test_log_macro_search_reaches_below_1e_280_of_the_band():
+    # the macro-cells keep about 1e-291 of the band, below the first bracket
+    raw = {"alpha": 0.003691243376194304, "n_fixed": 293.2762474445213,
+           "n_mobile": 5.5462454608587795, "r0": 0.5489379523777765,
+           "lambda_s": 12.110746004796479, "lambda_u": 21.374725998146385}
+    bw, b_u = [0.7567766523241762, 0.09104500688523427], 11.214030050927509
+    params = MarketParams(**raw)
+    res = solve_nash(bw, b_u, params)
+    assert res.classification is EquilibriumClass.MSNE
+    assert all(0.0 < b_m < 1e-280 * sum(bw) for b_m, _ in res.profile.per_sp)
+    assert _kkt_rel(res, b_u, params) <= 1e-4
+
+
+def test_log_macro_floor_keeps_the_marginals_finite():
+    # below 1e-280 of the band the root lies under the floor, where
+    # r_m ** (-a - 1) would leave the float range; it fails as a model error
+    raw = {"alpha": 0.006192839788952081, "n_fixed": 30.793222737780656,
+           "n_mobile": 620.4271190432848, "r0": 33.14387772938144,
+           "lambda_s": 81.5188897495671, "lambda_u": 1.0267341801749712}
+    bw, b_u = [0.09298409096193322, 0.9031711605486521], 0.018287192122867935
+    with pytest.raises(MarketModelError):
+        solve_nash(bw, b_u, MarketParams(**raw))
 
 
 def _large_profiles(n):
