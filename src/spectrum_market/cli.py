@@ -103,19 +103,10 @@ def _numbers(values, where: str, depth: int = 1) -> list:
 
 
 def _outcome_dict(outcome) -> dict:
-    return {
-        "regime": outcome.regime.value,
-        "k_macro": outcome.k_macro,
-        "k_small": outcome.k_small,
-        "k_unlicensed": outcome.k_unlicensed,
-        "r_macro": outcome.r_macro,
-        "r_small": outcome.r_small,
-        "r_unlicensed": outcome.r_unlicensed,
-        "p_macro": outcome.p_macro,
-        "p_small": outcome.p_small,
-        "revenue_per_sp": list(outcome.revenue_per_sp),
-        "social_welfare": outcome.social_welfare,
-    }
+    d = outcome._asdict()
+    d["regime"] = outcome.regime.value
+    d["revenue_per_sp"] = list(outcome.revenue_per_sp)
+    return d
 
 
 def _allocation_dict(profile: AllocationProfile) -> dict:

@@ -36,6 +36,7 @@ _PIN_TOL = 1e-10
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)  # the smallest normal float
+_LOG_ODDS_TOP = math.log(1e12)  # top of the root search in u: t_s about 1e-12 of the band
 
 
 class EquilibriumClass(enum.Enum):
@@ -98,73 +99,80 @@ def _marginal_macro(b_im: float, r_m: float, params: MarketParams) -> float:
     return r_m ** (-a) - a * (b_im * params.r0 / params.n_mobile) * r_m ** (-a - 1.0)
 
 
-def _foc(t_s, sum_b_active, pinned_b, w, c_u, params, m=None):
-    """Summed marginal objective of small-cell minus macro bandwidth over the
-    active providers, which hold ``t_s`` of their ``sum_b_active`` in
-    small-cells next to the pinned providers' ``pinned_b`` in macro-cells.
-
-    The weight ``w`` is n_active - alpha for revenue and 1.0 for the welfare
-    monopolist.  ``m`` overrides the active macro total when
-    sum_b_active - t_s would cancel to zero.
-    """
-    a = params.alpha
-    kap = params.kappa
-    if m is None:
-        m = sum_b_active - t_s
-    r_m = (m + pinned_b) * params.r0 / params.n_mobile
-    r_s = (kap * params.lambda_s * t_s * params.r0 + c_u) / (kap * params.n_fixed)
-    lhs = params.lambda_s * (
-        w * r_s ** (-a) + a * (c_u / (kap * params.n_fixed)) * r_s ** (-a - 1.0)
-    )
-    rhs = w * r_m ** (-a)
-    if pinned_b:
-        rhs += a * (pinned_b * params.r0 / params.n_mobile) * r_m ** (-a - 1.0)
-    return lhs - rhs
-
-
 def _log_macro_floor(params):
-    """log of the smallest macro total the log-macro search reaches: a normal
+    """log of the smallest macro total the root search reaches: a normal
     float at whose rate r_m, even with no pinned bandwidth, r_m ** (-a - 1) in
-    ``_foc`` and ``_marginal_macro`` stays a factor e below the float range."""
+    the residual and ``_marginal_macro`` stays a factor e below the float range."""
     log_r_min = -(_LOG_FLOAT_MAX - 1.0) / (1.0 + params.alpha)
-    log_m_min = log_r_min + math.log(params.n_mobile) - math.log(params.r0)
-    return max(_LOG_FLOAT_MIN, log_m_min)
+    return max(_LOG_FLOAT_MIN, log_r_min + math.log(params.n_mobile / params.r0))
+
+
+def _split_totals(u, sum_b_active):
+    """(t_s, m) with m / t_s = e^u and t_s + m = ``sum_b_active``.  The smaller
+    is formed from u, so it keeps its relative precision, and the larger is
+    the rest."""
+    if u >= 0.0:
+        e = math.exp(-u)
+        t_s = sum_b_active * e / (1.0 + e)
+        return t_s, sum_b_active - t_s
+    if u < _LOG_FLOAT_MIN:  # e^u is subnormal: sum_b_active * e^u would lose digits
+        m = math.exp(u + math.log(sum_b_active))
+    else:
+        e = math.exp(u)
+        m = sum_b_active * e / (1.0 + e)
+    return sum_b_active - m, m
+
+
+def _residual(sum_b_active, pinned_b, w, c_u, params):
+    """Summed marginal objective of small-cell minus macro bandwidth over the
+    active providers, an increasing function of u = log(m / t_s): they hold t_s
+    of their ``sum_b_active`` in small-cells and m in macro-cells, next to the
+    pinned providers' ``pinned_b`` in macro-cells.  The weight ``w`` is
+    n_active - alpha for revenue and 1.0 for the welfare monopolist.
+    """
+    a, lam_s = params.alpha, params.lambda_s
+    r_per_m = params.r0 / params.n_mobile
+    r_per_s = lam_s * params.r0 / params.n_fixed
+    r_u = c_u / (params.kappa * params.n_fixed)  # the rate r_s at t_s = 0
+    a_r_u, a_pinned = a * r_u, a * pinned_b * r_per_m
+
+    def f(u):
+        t_s, m = _split_totals(u, sum_b_active)
+        r_m = (m + pinned_b) * r_per_m
+        r_s = t_s * r_per_s + r_u
+        lhs = lam_s * (w * r_s ** -a + a_r_u * r_s ** (-a - 1.0))
+        return lhs - (w + a_pinned / r_m) * r_m ** -a
+
+    return f
 
 
 def _active_root(sum_b_active, pinned_b, w, c_u, params):
-    """Root of ``_foc`` over the splits of ``sum_b_active``.  Returns (t_s, m),
-    the active providers' small- and macro-cell totals, or None if no split
-    with both positive solves it.
+    """Root of ``_residual`` over the splits of ``sum_b_active``.  Returns
+    (t_s, m), the active providers' small- and macro-cell totals, or None if
+    no split with t_s above 1e-12 of the band and m above the
+    ``_log_macro_floor`` solves it.
 
-    The root is bracketed 1e-12 of the band inside its ends.  When it lies
-    above the top, the macro total is below the resolution of
-    sum_b_active - t_s (near-linear utility), so log(m) is searched instead:
-    from 1e-12 down to 1e-280 of the band, and only where that bracket has
-    no root, on down to ``_log_macro_floor``.
+    The search runs in u = log(m / t_s), so its tolerance is relative in both
+    totals.  It starts at the closed form log(N_m / N_f) + (1 - 1/alpha)
+    log(lambda_s), the root when c_u = 0 and nothing is pinned, and steps out
+    by 0.5 * 4^k to the sign change that ``brentq`` then refines.
     """
-    args = (sum_b_active, pinned_b, w, c_u, params)
-    eps = 1e-12 * sum_b_active
-    lo, hi = eps, sum_b_active - eps
-    # without unlicensed capacity r_s -> 0 as t_s -> 0: the marginal diverges
-    f_lo = math.inf if c_u == 0.0 else _foc(lo, *args)
-    if f_lo <= 0:
-        return None  # the active set collectively prefers no small-cells
-    if _foc(hi, *args) < 0:
-        t_s = brentq(_foc, lo, hi, args=args, xtol=1e-15, rtol=8.9e-16)
-        return t_s, sum_b_active - t_s
-
-    def g(t):
-        m = math.exp(t)
-        return _foc(sum_b_active - m, *args, m=m)
-
-    t_lo, t_hi = math.log(1e-280 * sum_b_active), math.log(eps)
-    if g(t_lo) >= 0:
-        # no root above 1e-280 of the band: search below it, down to the floor
-        t_lo, t_hi = _log_macro_floor(params), t_lo
-        if t_lo >= t_hi or g(t_lo) >= 0:
-            return None  # no root above the representable macro bandwidths
-    m = math.exp(brentq(g, t_lo, t_hi, xtol=1e-13, rtol=8.9e-16))
-    return sum_b_active - m, m
+    f = _residual(sum_b_active, pinned_b, w, c_u, params)
+    lo, hi = _log_macro_floor(params) - math.log(sum_b_active), _LOG_ODDS_TOP
+    u = math.log(params.n_mobile / params.n_fixed)
+    u = min(max(u + (1.0 - 1.0 / params.alpha) * math.log(params.lambda_s), lo), hi)
+    f_u, step = f(u), 0.5
+    while f_u != 0.0:
+        # f increases with u: step down from a positive value, up from a negative one
+        v = max(u - step, lo) if f_u > 0.0 else min(u + step, hi)
+        f_v = f(v)
+        if f_v != 0.0 and (f_v > 0.0) != (f_u > 0.0):
+            u = brentq(f, v, u, xtol=4e-16, rtol=8.9e-16)
+            break
+        if v == lo or v == hi:
+            return None  # no root above the floor, or t_s within 1e-12 of the band
+        u, f_u, step = v, f_v, 4.0 * step
+    return _split_totals(u, sum_b_active)
 
 
 def _nash_candidate(bandwidths, c_u, params):
@@ -232,9 +240,10 @@ def _check_candidate(pairs, pinned, c_u, params):
                 return None  # pinned provider wants to enter small-cells
             residuals.append(max(gain, 0.0))
         else:
-            if b_s <= _PIN_TOL * (b_m + b_s) or b_m <= 0.0:
-                return None  # not an interior split
-            residuals.append(abs(_marginal_small(b_s, r_s, params) - m_macro))
+            gap = abs(_marginal_small(b_s, r_s, params) - m_macro)
+            if b_s <= _PIN_TOL * (b_m + b_s) or b_m <= 0.0 or gap > 1e-9 * abs(m_macro):
+                return None  # not an interior split with equal marginals
+            residuals.append(gap)
     return residuals
 
 
@@ -335,12 +344,12 @@ def asymptotic_limit(
     c_u = params.lambda_u * b_unlicensed * params.r0
     k = _exit_capacity(B_total, params.lambda_s, params)
     if c_u >= k:
-        b_s = 0.0
+        b_s, b_m = 0.0, B_total
     else:
-        b_s = B_total * (1.0 - c_u / k) / (
-            1.0 + params.kappa * params.lambda_s * B_total * params.r0 / k
-        )
-    b_m = B_total - b_s
+        # both from the closed form, so a small b_m is not B_total - b_s
+        g = params.kappa * params.lambda_s * B_total * params.r0 / k
+        b_s = B_total * (1.0 - c_u / k) / (1.0 + g)
+        b_m = B_total * (c_u / k + g) / (1.0 + g)
     outcome = solve_association(
         AllocationProfile([(b_m, b_s)], b_unlicensed), params
     )

@@ -180,21 +180,51 @@ def test_near_zero_alpha_exits_without_a_traceback(tmp_path, capsys, command):
         assert all(math.isfinite(v) for v in report.values() if isinstance(v, float))
 
 
+def _floats(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for v in obj for x in _floats(v)]
+    return [obj] if isinstance(obj, float) else []
+
+
+def _assert_closed_form_split(tmp_path, capsys, command, raw, band):
+    # without unlicensed capacity the revenue split has the closed form
+    # b_macro / b_small = (N_m / N_f) * lambda_s^(1 - 1/alpha)
+    assert cli.main([command, "--scenario", _write(tmp_path, "s.json", raw)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(x) for x in _floats(report))
+    assert report["outcome"]["regime"] == "separate"
+    p = raw["params"]
+    ratio = p["n_mobile"] / p["n_fixed"] * p["lambda_s"] ** (1.0 - 1.0 / p["alpha"])
+    for b_m, b_s in report["allocation"]["per_sp"]:
+        assert b_m + b_s == pytest.approx(band, rel=1e-15)
+        assert b_m / b_s == pytest.approx(ratio, rel=1e-13)
+
+
 @pytest.mark.parametrize("command, section", [
     ("nash", {"bandwidths": [2.2951e-8], "b_unlicensed": 0.0}),
     ("monopoly", {"total_bandwidth": 2.2951e-8, "b_unlicensed": 0.0}),
 ])
-def test_split_clearing_in_the_mixed_regime_exits_3(tmp_path, capsys, command, section):
-    # a tiny band next to a large fixed-user mass: the first-order split
-    # leaves the separate-service regime, a solver contradiction
+def test_tiny_band_next_to_a_large_fixed_user_mass_solves(tmp_path, capsys, command, section):
+    # the macro-cells keep 1e-6 of a tiny band; an absolute root tolerance
+    # left this split in the mixed regime
     raw = {"schema_version": 1, "params": {
         "alpha": 0.30923, "n_fixed": 186817.38, "n_mobile": 0.193454,
         "r0": 0.311191, "lambda_s": 1.0002046, "lambda_u": 34.384,
     }, command: section}
-    assert cli.main([command, "--scenario", _write(tmp_path, "s.json", raw)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "mixed regime" in captured.err
+    _assert_closed_form_split(tmp_path, capsys, command, raw, 2.2951e-8)
+
+
+@pytest.mark.parametrize("band", [1e-45, 1e-60])
+@pytest.mark.parametrize("command", ["monopoly", "nash"])
+def test_bands_below_1e_44_solve(tmp_path, capsys, command, band):
+    raw = _scenario(
+        monopoly={"total_bandwidth": band, "b_unlicensed": 0.0},
+        nash={"bandwidths": [band, band], "b_unlicensed": 0.0},
+    )
+    raw["params"]["alpha"] = 0.01
+    _assert_closed_form_split(tmp_path, capsys, command, raw, band)
 
 
 class TestCommands:

@@ -136,10 +136,10 @@ def test_market_params_kappa_outside_repr_eq_and_hash():
         MarketParams(**args, kappa=0.1)
 
 
-# (xtol, rtol) pairs passed to brentq by monopoly, oligopoly and welfare;
-# None is the default rtol.
+# (xtol, rtol) pairs brentq is checked at: those monopoly, oligopoly and
+# welfare pass, and absolute tolerances around them; None is the default rtol.
 PACKAGE_TOLERANCES = [
-    (1e-15, 8.9e-16), (1e-13, 8.9e-16), (1e-14, 8.9e-16), (1e-16, 8.9e-16),
+    (4e-16, 8.9e-16), (1e-15, 8.9e-16), (1e-13, 8.9e-16), (1e-14, 8.9e-16), (1e-16, 8.9e-16),
     (1e-14, None), (1e-10, None),
 ]
 

@@ -1,9 +1,10 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
-from spectrum_market.core import DomainError, MarketParams, SolverConsistencyError, brentq
+from spectrum_market.core import DomainError, MarketParams
 from spectrum_market.monopoly import (
     Objective,
     beta_tilde,
@@ -15,9 +16,10 @@ from spectrum_market.monopoly import (
     threshold_sw,
 )
 from spectrum_market.association import AllocationProfile, Regime, solve_association
+from spectrum_market.oligopoly import _residual
 from spectrum_market.oracle import GridSpec, grid_argmax
 
-from conftest import random_params, single_provider_draws
+from conftest import random_params
 
 # Interior reference instance: B=2 licensed, B_U=0.5 under the base parameters.
 # Optima frozen from a 1e-4-step grid search refined by bisection.
@@ -83,14 +85,11 @@ class TestOptimizeRevenue:
         assert abs(sol.b_small - x) < 1e-3
 
     def test_first_order_residual(self, base_params):
-        from spectrum_market.oligopoly import _foc
-
         sol = optimize_revenue(2.0, 0.5, base_params)
         c_u = base_params.lambda_u * 0.5 * base_params.r0
-        w = 1.0 - base_params.alpha
-        lhs = _foc(sol.b_small, 2.0, 0.0, w, c_u, base_params)
-        scale = abs(_foc(1e-6, 2.0, 0.0, w, c_u, base_params))
-        assert abs(lhs) <= 1e-10 * scale
+        f = _residual(2.0, 0.0, 1.0 - base_params.alpha, c_u, base_params)
+        scale = abs(f(math.log((2.0 - 1e-6) / 1e-6)))
+        assert abs(f(math.log(sol.b_macro / sol.b_small))) <= 1e-10 * scale
 
     def test_full_band_and_separate(self, base_params):
         sol = optimize_revenue(2.0, 0.5, base_params)
@@ -123,12 +122,11 @@ class TestOptimizeWelfare:
         assert abs(sol.b_small - x) < 1e-3
 
     def test_first_order_residual(self, base_params):
-        from spectrum_market.oligopoly import _foc
-
         sol = optimize_welfare(2.0, 0.5, base_params)
         c_u = base_params.lambda_u * 0.5 * base_params.r0
-        scale = abs(_foc(1e-6, 2.0, 0.0, 1.0, c_u, base_params))
-        assert abs(_foc(sol.b_small, 2.0, 0.0, 1.0, c_u, base_params)) <= 1e-10 * scale
+        f = _residual(2.0, 0.0, 1.0, c_u, base_params)
+        scale = abs(f(math.log((2.0 - 1e-6) / 1e-6)))
+        assert abs(f(math.log(sol.b_macro / sol.b_small))) <= 1e-10 * scale
 
 
 class TestComparisons:
@@ -206,59 +204,70 @@ def test_thresholds_reject_non_finite_bandwidth(base_params, threshold):
             threshold(B, base_params)
 
 
-def _standalone_split(B, b_u, params, objective):
-    """The monopoly solver on its own first-order condition: its residual, the
-    bracket 1e-12 B inside (0, B), and the search on log(b_macro) where the
-    residual is still positive at the top.  Returns (b_macro, b_small, branch)."""
-    a, kap = params.alpha, params.kappa
-    c_u = params.lambda_u * b_u * params.r0
-    if objective is Objective.REVENUE:
-        cutoff, w = threshold_rev(B, params), 1.0 - a
-    else:
-        cutoff, w = threshold_sw(B, params), 1.0
-    if c_u >= cutoff:
-        return B, 0.0, "boundary"
+def _decimal_split(B, b_u, params, objective):
+    """(b_macro, b_small) of the interior first-order root at 60 digits: the
+    same residual as the solver's, in u = log(b_macro / b_small), bisected
+    down to 1e-22 on [-2000, 40]."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, n_f, n_m = Decimal(params.alpha), Decimal(params.n_fixed), Decimal(params.n_mobile)
+        r0, lam_s, band = Decimal(params.r0), Decimal(params.lambda_s), Decimal(B)
+        kap = (a.ln() / (1 - a)).exp()
+        r_u = Decimal(params.lambda_u) * Decimal(b_u) * r0 / (kap * n_f)
+        w = 1 - a if objective is Objective.REVENUE else Decimal(1)
 
-    def foc(b_s, b_m=None):
-        r_m = (B - b_s if b_m is None else b_m) * params.r0 / params.n_mobile
-        r_s = (kap * params.lambda_s * b_s * params.r0 + c_u) / (kap * params.n_fixed)
-        lhs = params.lambda_s * (
-            w * r_s ** (-a) + a * (c_u / (kap * params.n_fixed)) * r_s ** (-a - 1.0)
+        def split(u):
+            e = u.exp()
+            return band * e / (1 + e), band / (1 + e)
+
+        def residual(u):
+            b_m, b_s = split(u)
+            r_s = lam_s * b_s * r0 / n_f + r_u
+            price_s = (-a * r_s.ln()).exp()
+            price_m = (-a * (b_m * r0 / n_m).ln()).exp()
+            return lam_s * (w * price_s + a * r_u * price_s / r_s) - w * price_m
+
+        lo, hi = Decimal(-2000), Decimal(40)
+        while hi - lo > Decimal("1e-22"):
+            mid = (lo + hi) / 2
+            if residual(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return tuple(float(x) for x in split((lo + hi) / 2))
+
+
+def _reference_draws(seed, count):
+    """(B, b_u, params) over wide magnitudes with an interior optimum for both
+    objectives: bands 1e-9 to 1e2, every other draw with alpha < 0.1, and the
+    unlicensed capacity a share of the lower threshold (0 on every fourth)."""
+    rng = random.Random(seed)
+    for k in range(count):
+        params = MarketParams(
+            alpha=rng.uniform(0.005, 0.1) if k % 2 == 0 else rng.uniform(0.1, 0.95),
+            n_fixed=10 ** rng.uniform(-1, 4),
+            n_mobile=10 ** rng.uniform(-1, 4),
+            r0=10 ** rng.uniform(-2, 3),
+            lambda_s=1.0 + 10 ** rng.uniform(-3, 2),
+            lambda_u=10 ** rng.uniform(-3, 2),
         )
-        return lhs - w * r_m ** (-a)
-
-    eps = 1e-12 * B
-    if foc(eps) <= 0:
-        raise SolverConsistencyError("first-order condition not bracketed")
-    if foc(B - eps) < 0:
-        b_s = brentq(foc, eps, B - eps, xtol=1e-15, rtol=8.9e-16)
-        return B - b_s, b_s, "interior"
-
-    def g(t):
-        b_m = math.exp(t)
-        return foc(B - b_m, b_m)
-
-    t_lo, t_hi = math.log(1e-280 * B), math.log(eps)
-    if g(t_lo) >= 0:
-        raise SolverConsistencyError("no root above the representable macro range")
-    b_m = math.exp(brentq(g, t_lo, t_hi, xtol=1e-13, rtol=8.9e-16))
-    return b_m, B - b_m, "log-macro"
+        B = 10 ** rng.uniform(-9, 2)
+        share = 0.0 if k % 4 == 3 else rng.uniform(0.0, 0.9)
+        c_u = share * min(threshold_rev(B, params), threshold_sw(B, params))
+        yield B, c_u / (params.lambda_u * params.r0), params
 
 
 @pytest.mark.parametrize("solve, objective", [
     (optimize_revenue, Objective.REVENUE),
     (optimize_welfare, Objective.SOCIAL_WELFARE),
 ])
-def test_shared_root_matches_the_standalone_solver_exactly(solve, objective):
-    branches = set()
-    for B, b_u, params in single_provider_draws(1965, 400):
-        try:
-            b_m, b_s, branch = _standalone_split(B, b_u, params, objective)
-        except SolverConsistencyError:
-            with pytest.raises(SolverConsistencyError):
-                solve(B, b_u, params)
-            continue
+def test_split_matches_a_60_digit_reference(solve, objective):
+    # the draws hold four bands below 1e-6 and a macro share of 1.3e-13
+    draws = list(_reference_draws(12, 8))
+    assert sum(B < 1e-6 for B, _, _ in draws) == 4
+    for B, b_u, params in draws:
         sol = solve(B, b_u, params)
-        assert (sol.b_macro, sol.b_small, sol.boundary) == (b_m, b_s, branch == "boundary")
-        branches.add(branch)
-    assert branches == {"boundary", "interior", "log-macro"}
+        assert not sol.boundary
+        b_m, b_s = _decimal_split(B, b_u, params, objective)
+        assert abs(sol.b_macro - b_m) <= 1e-13 * b_m
+        assert abs(sol.b_small - b_s) <= 1e-13 * b_s

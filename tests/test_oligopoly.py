@@ -295,6 +295,29 @@ def test_monotone_order_agrees_with_every_pinned_subset():
     assert answered >= 250
 
 
+@pytest.mark.parametrize("raw, b_u", [
+    # one provider pinned to macro-only service
+    ({"alpha": 0.5, "n_fixed": 50, "n_mobile": 50, "r0": 50, "lambda_s": 4, "lambda_u": 3}, 2.0),
+    # every provider in small-cells, with macro shares of 0.7% to 5%
+    ({"alpha": 0.3, "n_fixed": 500, "n_mobile": 5, "r0": 2, "lambda_s": 1.5, "lambda_u": 0.5}, 5.0),
+])
+def test_scaling_the_bands_and_one_over_r0_scales_the_split(raw, b_u):
+    # bandwidth enters the model only as b * r0: k times every band with r0 / k
+    # is the same market, so the split is k times as large, to a few ulps
+    params, bw = MarketParams(**raw), [0.2, 1.0, 2.0]
+    nash = solve_nash(bw, b_u, params).profile.per_sp
+    mono = optimize_revenue(sum(bw), b_u, params)
+    for k in (10.0 ** e for e in range(-30, 31, 3)):
+        scaled = MarketParams(**{**raw, "r0": raw["r0"] / k})
+        got = solve_nash([k * b for b in bw], k * b_u, scaled).profile.per_sp
+        for (b_m, b_s), (g_m, g_s) in zip(nash, got):
+            assert g_m / k == pytest.approx(b_m, rel=2e-15, abs=0.0)
+            assert g_s / k == pytest.approx(b_s, rel=2e-15, abs=0.0)
+        sol = optimize_revenue(k * sum(bw), k * b_u, scaled)
+        assert sol.b_macro / k == pytest.approx(mono.b_macro, rel=2e-15, abs=0.0)
+        assert sol.b_small / k == pytest.approx(mono.b_small, rel=2e-15, abs=0.0)
+
+
 def test_single_provider_game_is_the_revenue_monopoly():
     interior = 0
     for B, b_u, params in single_provider_draws(2016, 400):
@@ -332,7 +355,7 @@ def _kkt_rel(res, b_u, params):
       "lambda_s": 2.48151, "lambda_u": 0.693548}, [0.0456564, 15.3675], 19.1354),
 ])
 def test_near_linear_root_below_the_bracket(raw, bw, b_u):
-    # the macro-cells keep under 1e-12 of the band: only the log-macro search finds it
+    # the macro-cells keep under 1e-12 of the band, where b - b_small has no correct digit
     params = MarketParams(**raw)
     res = solve_nash(bw, b_u, params)
     assert res.classification is EquilibriumClass.MSNE
@@ -341,7 +364,7 @@ def test_near_linear_root_below_the_bracket(raw, bw, b_u):
 
 
 def test_log_macro_search_reaches_below_1e_280_of_the_band():
-    # the macro-cells keep about 1e-291 of the band, below the first bracket
+    # the macro-cells keep about 1e-291 of the band
     raw = {"alpha": 0.003691243376194304, "n_fixed": 293.2762474445213,
            "n_mobile": 5.5462454608587795, "r0": 0.5489379523777765,
            "lambda_s": 12.110746004796479, "lambda_u": 21.374725998146385}
@@ -354,8 +377,8 @@ def test_log_macro_search_reaches_below_1e_280_of_the_band():
 
 
 def test_log_macro_floor_keeps_the_marginals_finite():
-    # below 1e-280 of the band the root lies under the floor, where
-    # r_m ** (-a - 1) would leave the float range; it fails as a model error
+    # the root lies under the floor, where r_m ** (-a - 1) would leave the
+    # float range; it fails as a model error
     raw = {"alpha": 0.006192839788952081, "n_fixed": 30.793222737780656,
            "n_mobile": 620.4271190432848, "r0": 33.14387772938144,
            "lambda_s": 81.5188897495671, "lambda_u": 1.0267341801749712}
@@ -587,7 +610,8 @@ class TestSymmetric:
             calls.clear()
             res = symmetric_equilibrium(n, 1.0, b_u, params)
             assert res.classification is EquilibriumClass.MSNE
-            assert len(calls) == 1
+            # at c_u = 0 the closed-form start of the search can be the root
+            assert len(calls) <= 1
 
     @pytest.mark.parametrize("alpha", [0.13, 0.14])
     def test_near_linear_utility_without_unlicensed_band(self, alpha):
