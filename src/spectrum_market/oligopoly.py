@@ -5,11 +5,10 @@ stage needs solving.  The unique equilibrium is found by pinning a candidate
 set of providers to macro-only service, solving the aggregate first-order
 equality for the small- and macro-cell totals of the rest, and recovering
 the individual (b_macro, b_small) splits from the pairwise linear relations.
-Monotonicity of the equilibrium in total bandwidth means the pinned set is
-always the providers with the least bandwidth, so the first set in that
-order whose smallest active provider splits in the interior is the
-equilibrium candidate, and the KKT check runs once, on it; when no set
-qualifies, the candidate is the macro-only profile.  The aggregate root also
+The equilibrium is monotone in total bandwidth, so the pinned set is always
+the providers with the least bandwidth: the first set in that order whose
+smallest active provider splits in the interior (else the macro-only
+profile) is the one candidate the KKT check runs on.  The aggregate root also
 serves the single-provider optimizers in ``monopoly``, and ``_exit_capacity``
 is the one closed form of every threshold at which small-cells are abandoned.
 """
@@ -22,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import DomainError, MarketParams, SolverConsistencyError
-from .core import brentq, grid_golden_max
+from .core import brentq, grid_golden_max  # noqa: F401 (bench/tracing.py wraps brentq)
 from .association import (
     AllocationProfile,
     AssociationOutcome,
@@ -34,7 +33,6 @@ from .association import (
 # total count as the macro-only boundary rather than an interior solution.
 _PIN_TOL = 1e-10
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)  # the smallest normal float
 _LOG_ODDS_TOP = math.log(1e12)  # top of the root search in u: t_s about 1e-12 of the band
 
@@ -84,26 +82,11 @@ def mne_capacity_bound(bandwidths, params: MarketParams) -> float:
     return _exit_capacity(total, params.lambda_s / (1.0 - a_max), params)
 
 
-def _marginal_small(b_is: float, r_s: float, params: MarketParams) -> float:
-    """d(revenue)/d(b_small) for one provider, per unit R0."""
-    a = params.alpha
-    return params.lambda_s * (
-        r_s ** (-a)
-        - a * (params.lambda_s * b_is * params.r0 / params.n_fixed) * r_s ** (-a - 1.0)
-    )
-
-
-def _marginal_macro(b_im: float, r_m: float, params: MarketParams) -> float:
-    """d(revenue)/d(b_macro) for one provider, per unit R0."""
-    a = params.alpha
-    return r_m ** (-a) - a * (b_im * params.r0 / params.n_mobile) * r_m ** (-a - 1.0)
-
-
 def _log_macro_floor(params):
     """log of the smallest macro total the root search reaches: a normal
-    float at whose rate r_m, even with no pinned bandwidth, r_m ** (-a - 1) in
-    the residual and ``_marginal_macro`` stays a factor e below the float range."""
-    log_r_min = -(_LOG_FLOAT_MAX - 1.0) / (1.0 + params.alpha)
+    float at whose rate r_m, even with no pinned bandwidth, r_m ** (-a - 1)
+    stays a factor e below the float range."""
+    log_r_min = -(math.log(sys.float_info.max) - 1.0) / (1.0 + params.alpha)
     return max(_LOG_FLOAT_MIN, log_r_min + math.log(params.n_mobile / params.r0))
 
 
@@ -111,37 +94,41 @@ def _split_totals(u, sum_b_active):
     """(t_s, m) with m / t_s = e^u and t_s + m = ``sum_b_active``.  The smaller
     is formed from u, so it keeps its relative precision, and the larger is
     the rest."""
-    if u >= 0.0:
-        e = math.exp(-u)
-        t_s = sum_b_active * e / (1.0 + e)
-        return t_s, sum_b_active - t_s
     if u < _LOG_FLOAT_MIN:  # e^u is subnormal: sum_b_active * e^u would lose digits
         m = math.exp(u + math.log(sum_b_active))
-    else:
-        e = math.exp(u)
-        m = sum_b_active * e / (1.0 + e)
-    return sum_b_active - m, m
+        return sum_b_active - m, m
+    e = math.exp(-abs(u))
+    smaller = sum_b_active * e / (1.0 + e)
+    return (smaller, sum_b_active - smaller) if u >= 0.0 else (sum_b_active - smaller, smaller)
 
 
 def _residual(sum_b_active, pinned_b, w, c_u, params):
-    """Summed marginal objective of small-cell minus macro bandwidth over the
-    active providers, an increasing function of u = log(m / t_s): they hold t_s
-    of their ``sum_b_active`` in small-cells and m in macro-cells, next to the
-    pinned providers' ``pinned_b`` in macro-cells.  The weight ``w`` is
-    n_active - alpha for revenue and 1.0 for the welfare monopolist.
-    """
+    """(g, g') at u = log(m / t_s): g, the log of the active providers' summed
+    small-cell over macro-cell marginal, increases in u.  They hold t_s of
+    their ``sum_b_active`` S in small-cells and m in macro-cells, the pinned
+    ``pinned_b`` P in macro-cells; ``w`` is n_active - alpha for revenue and 1
+    for the welfare monopolist.  With c = c_u / (kappa lambda_s r0),
+    g = log lambda_s - alpha log(lambda_s N_m / N_f) + log(term_s / term_m)
+        - alpha (log((t_s + c) / S) - log((m + P) / S)),
+    term_s = w + alpha c / (t_s + c), term_m = w + alpha P / (m + P): the band
+    enters only as ratios to S, so g is the same at every band scale."""
     a, lam_s = params.alpha, params.lambda_s
-    r_per_m = params.r0 / params.n_mobile
-    r_per_s = lam_s * params.r0 / params.n_fixed
-    r_u = c_u / (params.kappa * params.n_fixed)  # the rate r_s at t_s = 0
-    a_r_u, a_pinned = a * r_u, a * pinned_b * r_per_m
+    g0 = math.log(lam_s) - a * math.log(lam_s * params.n_mobile / params.n_fixed)
+    c = c_u / (params.kappa * lam_s * params.r0 * sum_b_active)
+    p = pinned_b / sum_b_active
 
     def f(u):
-        t_s, m = _split_totals(u, sum_b_active)
-        r_m = (m + pinned_b) * r_per_m
-        r_s = t_s * r_per_s + r_u
-        lhs = lam_s * (w * r_s ** -a + a_r_u * r_s ** (-a - 1.0))
-        return lhs - (w + a_pinned / r_m) * r_m ** -a
+        e = math.exp(-abs(u))
+        small, large = e / (1.0 + e), 1.0 / (1.0 + e)
+        ts, ms = (small, large) if u >= 0.0 else (large, small)
+        xs, xm = ts + c, ms + p
+        f_s = c / xs
+        # with P = 0, log(m / S) comes from u: m / S may underflow
+        lm, f_p = (math.log(xm), p / xm) if p else (min(u, 0.0) - math.log1p(e), 0.0)
+        term_s, term_m = w + a * f_s, w + a * f_p
+        g = g0 + math.log(term_s / term_m) - a * (math.log(xs) - lm)
+        # m / (m + P) is 1 - f_p
+        return g, a * ts * (ms * (1.0 + f_s / term_s) / xs + (1.0 - f_p) * (1.0 + f_p / term_m))
 
     return f
 
@@ -152,27 +139,33 @@ def _active_root(sum_b_active, pinned_b, w, c_u, params):
     no split with t_s above 1e-12 of the band and m above the
     ``_log_macro_floor`` solves it.
 
-    The search runs in u = log(m / t_s), so its tolerance is relative in both
-    totals.  It starts at the closed form log(N_m / N_f) + (1 - 1/alpha)
-    log(lambda_s), the root when c_u = 0 and nothing is pinned, and steps out
-    by 0.5 * 4^k to the sign change that ``brentq`` then refines.
-    """
+    The search in u = log(m / t_s) has a tolerance relative in both totals.
+    From the closed form log(N_m / N_f) + (1 - 1/alpha) log(lambda_s), the
+    root when c_u = 0 and nothing is pinned, it takes Newton steps inside the
+    sign bracket seen so far and bisects it when a step leaves it ("rtsafe":
+    Press et al., Numerical Recipes, 3rd ed., 2007, sec. 9.4).  A domain end
+    is evaluated only when a step would cross it."""
     f = _residual(sum_b_active, pinned_b, w, c_u, params)
     lo, hi = _log_macro_floor(params) - math.log(sum_b_active), _LOG_ODDS_TOP
     u = math.log(params.n_mobile / params.n_fixed)
-    u = min(max(u + (1.0 - 1.0 / params.alpha) * math.log(params.lambda_s), lo), hi)
-    f_u, step = f(u), 0.5
-    while f_u != 0.0:
-        # f increases with u: step down from a positive value, up from a negative one
-        v = max(u - step, lo) if f_u > 0.0 else min(u + step, hi)
-        f_v = f(v)
-        if f_v != 0.0 and (f_v > 0.0) != (f_u > 0.0):
-            u = brentq(f, v, u, xtol=4e-16, rtol=8.9e-16)
-            break
-        if v == lo or v == hi:
-            return None  # no root above the floor, or t_s within 1e-12 of the band
-        u, f_u, step = v, f_v, 4.0 * step
-    return _split_totals(u, sum_b_active)
+    # clamped to lo last: where the floor lies above the top, no root counts
+    u = max(min(u + (1.0 - 1.0 / params.alpha) * math.log(params.lambda_s), hi), lo)
+    below = above = None  # the largest u seen with g < 0, the smallest with g > 0
+    while True:
+        g, dg = f(u)
+        if g == 0.0:
+            return _split_totals(u, sum_b_active)
+        if u == (hi if g < 0.0 else lo):
+            return None  # the root lies above the top or under the macro floor
+        below, above = (u, above) if g < 0.0 else (below, u)
+        v = u - g / dg if dg > 0.0 else (hi if g < 0.0 else lo)
+        if below is None or above is None:  # all seen on one side: stop at the domain end
+            v = min(max(v, lo), hi)
+        elif v != u and not below < v < above:  # v == u: the step is under u's ulp
+            v = 0.5 * (below + above)
+        if abs(v - u) <= 4e-16 + 8.9e-16 * abs(u):
+            return _split_totals(v, sum_b_active)
+        u = v
 
 
 def _nash_candidate(bandwidths, c_u, params):
@@ -220,27 +213,38 @@ def _nash_candidate(bandwidths, c_u, params):
     return set(order), [(b, 0.0) for b in bandwidths]
 
 
-def _check_candidate(pairs, pinned, c_u, params):
-    """KKT verification of (b_macro, b_small) pairs; returns per-provider
-    residuals or None on failure."""
-    kap = params.kappa
+def _marginal_factors(pairs, c_u, params):
+    """(price_s, slope_s, price_m, slope_m) of the (b_macro, b_small) pairs,
+    or None where r_s is 0: a provider holding (b_m, b_s) has the marginal
+    revenues per unit R0 price_s (1 - slope_s b_s) and price_m (1 - slope_m b_m)."""
+    a, kap = params.alpha, params.kappa
     b_macro, b_small = zip(*pairs)
     # at t_s = 0 this is the shadow rate that prices small-cell entry
     r_s = (c_u + kap * params.lambda_s * sum(b_small) * params.r0) / (kap * params.n_fixed)
     if r_s == 0.0:
-        return None  # entering small-cells is infinitely profitable
-    r_m = sum(b_macro) * params.r0 / params.n_mobile
+        return None
+    total_m = sum(b_macro)
+    return (params.lambda_s * r_s ** -a, a * params.lambda_s * params.r0 / (params.n_fixed * r_s),
+            (total_m * params.r0 / params.n_mobile) ** -a, a / total_m)
 
+
+def _check_candidate(pairs, pinned, c_u, params):
+    """KKT verification of (b_macro, b_small) pairs; returns per-provider
+    residuals (marginal revenues per unit R0) or None on failure."""
+    factors = _marginal_factors(pairs, c_u, params)
+    if factors is None:
+        return None  # entering small-cells is infinitely profitable
+    price_s, slope_s, price_m, slope_m = factors
     residuals = []
     for i, (b_m, b_s) in enumerate(pairs):
-        m_macro = _marginal_macro(b_m, r_m, params)
+        m_macro = price_m * (1.0 - slope_m * b_m)
         if i in pinned:
-            gain = _marginal_small(0.0, r_s, params) - m_macro
+            gain = price_s - m_macro
             if gain > 1e-9 * abs(m_macro):
                 return None  # pinned provider wants to enter small-cells
             residuals.append(max(gain, 0.0))
         else:
-            gap = abs(_marginal_small(b_s, r_s, params) - m_macro)
+            gap = abs(price_s * (1.0 - slope_s * b_s) - m_macro)
             if b_s <= _PIN_TOL * (b_m + b_s) or b_m <= 0.0 or gap > 1e-9 * abs(m_macro):
                 return None  # not an interior split with equal marginals
             residuals.append(gap)
@@ -271,12 +275,8 @@ def solve_nash(bandwidths, b_unlicensed: float, params: MarketParams) -> Equilib
     outcome = solve_association(profile, params)
     if outcome.regime is not Regime.SEPARATE_SERVICE:
         raise SolverConsistencyError("the equilibrium split clears in the mixed regime")
-    if not pinned:
-        cls = EquilibriumClass.MSNE
-    elif len(pinned) == n:
-        cls = EquilibriumClass.MNE
-    else:
-        cls = EquilibriumClass.MPNE
+    cls = (EquilibriumClass.MSNE if not pinned
+           else EquilibriumClass.MNE if len(pinned) == n else EquilibriumClass.MPNE)
     return EquilibriumResult(
         classification=cls,
         profile=profile,

@@ -209,10 +209,10 @@ def welfare_sweep(B: float, b_u_grid, series, params: MarketParams) -> WelfareCu
     for label in series:
         if label not in ALL_SERIES:
             raise DomainError(f"unknown series {label!r}")
-    values = {
-        label: [market_welfare(B, b_u, None, params, series=label) for b_u in grid]
-        for label in series
-    }
+    # the planner's welfare does not depend on b_u: one solve fills its series
+    values = {label: [planner_optimal(B, params).welfare] * len(grid) if label == SERIES_PLANNER
+              else [market_welfare(B, b_u, None, params, series=label) for b_u in grid]
+              for label in series}
     kinks = {
         label: find_kink(label, B, params)
         for label in series

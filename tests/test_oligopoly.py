@@ -20,6 +20,7 @@ from spectrum_market.oligopoly import (
     EquilibriumClass,
     _active_root,
     _check_candidate,
+    _residual,
     asymptotic_limit,
     best_response,
     mne_capacity_bound,
@@ -376,6 +377,45 @@ def test_log_macro_search_reaches_below_1e_280_of_the_band():
     assert _kkt_rel(res, b_u, params) <= 1e-4
 
 
+def test_split_next_to_the_float_floor_sums_to_each_band():
+    # each provider keeps 5e-308 to 7e-308 in macro-cells, at the smallest normal
+    # float, where the ratio (t_s + c) / (m + P) would overflow
+    raw = {"alpha": 0.00275825617852085, "n_fixed": 8518.772857085707,
+           "n_mobile": 10.069803808480833, "r0": 141.05880255659451,
+           "lambda_s": 6.990665054272826, "lambda_u": 0.018178662812408198}
+    bw, b_u = [9.591411913019293, 4.190997223971551], 13.338772405962454
+    res = solve_nash(bw, b_u, MarketParams(**raw))
+    assert res.classification is EquilibriumClass.MSNE
+    for (b_m, b_s), b in zip(res.profile.per_sp, bw):
+        assert 0.0 < b_m < 1e-307 and b_m + b_s == b
+
+
+def test_residual_slope_matches_a_central_difference():
+    rng = random.Random(25)
+    kinds, checked = set(), 0
+    for _ in range(400):
+        params = random_params(rng)
+        S = 10 ** rng.uniform(-3, 3)
+        pinned_b = rng.choice([0.0, S * 10 ** rng.uniform(-3, 1)])
+        c_u = rng.choice([0.0, params.lambda_u * params.r0 * S * 10 ** rng.uniform(-3, 1)])
+        f = _residual(S, pinned_b, rng.choice([1.0, rng.randint(1, 5) - params.alpha]),
+                      c_u, params)
+        u, h = rng.uniform(-25.0, 25.0), 1e-5
+        slope = f(u)[1]
+        if slope < 1e-3:
+            continue  # a central difference of a flat g is mostly rounding
+        assert (f(u + h)[0] - f(u - h)[0]) / (2.0 * h) == pytest.approx(slope, rel=1e-6)
+        kinds.add((pinned_b > 0.0, c_u > 0.0))
+        checked += 1
+    assert checked >= 200 and len(kinds) == 4
+
+
+def test_no_root_counts_where_the_macro_floor_lies_above_the_top(base_params):
+    # at a band of 1e-250 every split leaves m under the floor or t_s under
+    # 1e-12 of the band, although the split b_small = 0.8 B solves g = 0
+    assert _active_root(1e-250, 0.0, 1.0 - base_params.alpha, 0.0, base_params) is None
+
+
 def test_log_macro_floor_keeps_the_marginals_finite():
     # the root lies under the floor, where r_m ** (-a - 1) would leave the
     # float range; it fails as a model error
@@ -597,21 +637,29 @@ class TestSymmetric:
     @pytest.mark.parametrize("params", _FIGURE_PARAMS)
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_one_root_per_solve(self, monkeypatch, params, n):
-        calls = []
-        real = oligopoly.brentq
+        builds, evals = [], []
+        real = oligopoly._residual
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(*args):
+            builds.append(1)
+            f = real(*args)
 
-        monkeypatch.setattr(oligopoly, "brentq", counted)
+            def g(u):
+                evals.append(u)
+                return f(u)
+
+            return g
+
+        monkeypatch.setattr(oligopoly, "_residual", counted)
         for share in (0.0, 0.5):
             b_u = _b_u_for_capacity(share * mne_capacity_bound([1.0] * n, params), params)
-            calls.clear()
+            builds.clear()
+            evals.clear()
             res = symmetric_equilibrium(n, 1.0, b_u, params)
             assert res.classification is EquilibriumClass.MSNE
-            # at c_u = 0 the closed-form start of the search can be the root
-            assert len(calls) <= 1
+            assert len(builds) == 1
+            # at c_u = 0 the closed-form start of the search is the root
+            assert len(evals) <= (1 if share == 0.0 else 6)
 
     @pytest.mark.parametrize("alpha", [0.13, 0.14])
     def test_near_linear_utility_without_unlicensed_band(self, alpha):

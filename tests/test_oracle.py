@@ -55,7 +55,7 @@ class TestFiniteDifference:
     def test_small_cell_revenue_gradient(self, base_params):
         # revenue derivative wrt the macro/small split matches the analytical
         # marginal difference used by the equilibrium solver
-        from spectrum_market.oligopoly import _marginal_macro, _marginal_small
+        from spectrum_market.oligopoly import _marginal_factors
 
         b_i, b_s, b_u = 1.5, 0.6, 0.4
 
@@ -66,10 +66,12 @@ class TestFiniteDifference:
             return out.revenue_per_sp[0]
 
         fd = finite_difference(revenue, b_s, 1e-6)
-        out = solve_association(AllocationProfile([(b_i - b_s, b_s)], b_u), base_params)
+        c_u = base_params.lambda_u * b_u * base_params.r0
+        price_s, slope_s, price_m, slope_m = _marginal_factors(
+            [(b_i - b_s, b_s)], c_u, base_params
+        )
         analytic = base_params.r0 * (
-            _marginal_small(b_s, out.r_small, base_params)
-            - _marginal_macro(b_i - b_s, out.r_macro, base_params)
+            price_s * (1.0 - slope_s * b_s) - price_m * (1.0 - slope_m * (b_i - b_s))
         )
         assert fd == pytest.approx(analytic, rel=1e-5)
 

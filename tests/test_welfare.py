@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from spectrum_market import oligopoly
+from spectrum_market import oligopoly, welfare
 from spectrum_market.core import DomainError, MarketModelError, MarketParams
 from spectrum_market.welfare import (
     ALL_SERIES,
@@ -209,6 +209,13 @@ class TestSweep:
     def test_planner_series_constant(self, case_b_curve):
         vals = case_b_curve.series[SERIES_PLANNER]
         assert max(vals) - min(vals) <= 1e-9 * max(vals)
+
+    def test_planner_solved_once_per_sweep(self, monkeypatch):
+        calls, real = [], welfare.planner_optimal
+        monkeypatch.setattr(welfare, "planner_optimal", lambda B, p: calls.append(B) or real(B, p))
+        curve = welfare_sweep(2.0, default_grid(2.0, 81), [SERIES_PLANNER], CASE_B)
+        assert calls == [2.0]
+        assert curve.series[SERIES_PLANNER] == [real(2.0, CASE_B).welfare] * 81
 
     def test_market_never_beats_planner(self, case_b_curve):
         planner = case_b_curve.series[SERIES_PLANNER]
