@@ -47,6 +47,13 @@ class AllocationProfile:
         object.__setattr__(self, "per_sp", tuple(pairs))
         object.__setattr__(self, "b_unlicensed", float(b_unlicensed))
 
+    @classmethod
+    def _solved(cls, per_sp: tuple, b_unlicensed: float):
+        """A solver's checked tuple of (float, float) pairs and float band, not re-validated."""
+        profile = object.__new__(cls)
+        profile.__dict__.update(per_sp=per_sp, b_unlicensed=b_unlicensed)
+        return profile
+
     @property
     def total_b_macro(self) -> float:
         return sum(bm for bm, _ in self.per_sp)
@@ -195,4 +202,5 @@ def solve_association(profile: AllocationProfile, params: MarketParams) -> Assoc
         + k_s * (r_s ** e / e if r_s else 0.0)
         + k_u * (r_u ** e / e if r_u else 0.0)
     )
-    return AssociationOutcome(regime, k_m, k_s, k_u, r_m, r_s, r_u, p_m, p_s, revenues, sw)
+    return AssociationOutcome._make((regime, k_m, k_s, k_u, r_m, r_s, r_u, p_m, p_s,
+                                     revenues, sw))

@@ -1,7 +1,7 @@
 """Command-line front end: JSON scenarios in, JSON/CSV reports out.
 
 Exit codes: 0 success, 2 scenario validation failure, 3 solver internal
-consistency failure.
+consistency failure, or a JSON report that would hold NaN or inf.
 """
 
 from __future__ import annotations
@@ -268,6 +268,14 @@ def seed_figures(out_dir: str) -> list:
     return written
 
 
+def _json(report) -> str:
+    """``report`` as JSON text; a NaN or inf in it is a solver fault, exit 3."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SolverConsistencyError(f"the report holds a non-finite number ({exc})") from exc
+
+
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
@@ -316,7 +324,7 @@ def main(argv=None) -> int:
             if (args.format or "csv") == "csv":
                 _emit(sweep_csv(curve, series), args.out)
             else:
-                _emit(json.dumps(sweep_json(curve, series), indent=2) + "\n", args.out)
+                _emit(_json(sweep_json(curve, series)), args.out)
             return 0
         handler = {
             "associate": cmd_associate,
@@ -325,7 +333,7 @@ def main(argv=None) -> int:
             "planner": cmd_planner,
         }[args.command]
         report = handler(raw, params)
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+        _emit(_json(report), args.out)
         return 0
     except MarketModelError as exc:
         print(f"error: {exc}", file=sys.stderr)

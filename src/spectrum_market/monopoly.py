@@ -78,16 +78,11 @@ def _solve(B, b_unlicensed, params, objective) -> MonopolySolution:
             )
         b_s, b_m = root
 
-    outcome = solve_association(AllocationProfile([(b_m, b_s)], b_unlicensed), params)
+    profile = AllocationProfile._solved(((float(b_m), float(b_s)),), float(b_unlicensed))
+    outcome = solve_association(profile, params)
     if outcome.regime is not Regime.SEPARATE_SERVICE:
         raise SolverConsistencyError("the optimal split clears in the mixed regime")
-    return MonopolySolution(
-        objective=objective,
-        b_macro=b_m,
-        b_small=b_s,
-        outcome=outcome,
-        boundary=boundary,
-    )
+    return MonopolySolution(objective, b_m, b_s, outcome, boundary)
 
 
 def optimize_revenue(B: float, b_unlicensed: float, params: MarketParams) -> MonopolySolution:

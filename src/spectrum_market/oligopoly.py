@@ -77,9 +77,11 @@ def _exit_capacity(B: float, base: float, params: MarketParams) -> float:
 
 def mne_capacity_bound(bandwidths, params: MarketParams) -> float:
     """Unlicensed capacity at which all providers abandon small-cells."""
-    total = sum(bandwidths)
-    a_max = params.alpha * (max(bandwidths) / total)
-    return _exit_capacity(total, params.lambda_s / (1.0 - a_max), params)
+    return _capacity_bound(sum(bandwidths), max(bandwidths), params)
+
+
+def _capacity_bound(total, b_max, params):
+    return _exit_capacity(total, params.lambda_s / (1.0 - params.alpha * (b_max / total)), params)
 
 
 def _log_macro_floor(params):
@@ -168,7 +170,13 @@ def _active_root(sum_b_active, pinned_b, w, c_u, params):
         u = v
 
 
-def _nash_candidate(bandwidths, c_u, params):
+def _active_pairs(bandwidths, mean_b, small, macro, c, c_bar):
+    """The (b_macro, b_small) pair of each active bandwidth; see ``_nash_candidate``."""
+    return [(b_m, b - b_m) if (b_m := macro + c_bar * (d := b - mean_b)) < (b_s := small + c * d)
+            else (b - b_s, b_s) for b in bandwidths]
+
+
+def _nash_candidate(bandwidths, total_b, c_u, params):
     """(pinned set, (b_macro, b_small) pairs) of the first pinned set in the
     smallest-first order whose smallest active provider has an interior
     split, or the macro-only profile, every provider pinned, if none has.
@@ -182,7 +190,6 @@ def _nash_candidate(bandwidths, c_u, params):
     """
     n = len(bandwidths)
     order = sorted(range(n), key=bandwidths.__getitem__)
-    total_b = sum(bandwidths)
     a, kap, lam_s = params.alpha, params.kappa, params.lambda_s
     pinned_b = 0.0  # running sum of the pinned, smallest bandwidths
     for n_pinned, i_min in enumerate(order):
@@ -194,23 +201,18 @@ def _nash_candidate(bandwidths, c_u, params):
             r_s = (kap * lam_s * t_s * params.r0 + c_u) / (kap * params.n_fixed)
             r_m = (m + pinned_b) * params.r0 / params.n_mobile
             x = lam_s ** 2 * (params.n_mobile / params.n_fixed) * (r_m / r_s) ** (a + 1.0)
-            c, c_bar = 1.0 / (1.0 + x), x / (1.0 + x)
-            mean_b, small, macro = sum_b_active / n_active, t_s / n_active, m / n_active
-
-            def pair(b):
-                b_m, b_s = macro + c_bar * (b - mean_b), small + c * (b - mean_b)
-                return (b_m, b - b_m) if b_m < b_s else (b - b_s, b_s)
-
+            split = (sum_b_active / n_active, t_s / n_active, m / n_active,
+                     1.0 / (1.0 + x), x / (1.0 + x))
             b_min = bandwidths[i_min]
-            m_min, s_min = pair(b_min)
+            ((m_min, s_min),) = _active_pairs((b_min,), *split)
             # the first set whose smallest active provider screens as interior
             if s_min > _PIN_TOL * b_min and m_min > 0.0:
-                pairs = [(b, 0.0) for b in bandwidths]
-                for i in order[n_pinned:]:
-                    pairs[i] = pair(bandwidths[i])
-                return set(order[:n_pinned]), pairs
+                pairs = _active_pairs(bandwidths, *split)  # the pinned are reset below
+                for i in order[:n_pinned]:
+                    pairs[i] = (bandwidths[i], 0.0)
+                return frozenset(order[:n_pinned]), pairs
         pinned_b += bandwidths[i_min]
-    return set(order), [(b, 0.0) for b in bandwidths]
+    return frozenset(order), [(b, 0.0) for b in bandwidths]
 
 
 def _marginal_factors(pairs, c_u, params):
@@ -230,60 +232,57 @@ def _marginal_factors(pairs, c_u, params):
 
 def _check_candidate(pairs, pinned, c_u, params):
     """KKT verification of (b_macro, b_small) pairs; returns per-provider
-    residuals (marginal revenues per unit R0) or None on failure."""
+    residuals (marginal revenues per unit R0) or None on failure.  The loop
+    tells the ``pinned`` providers by their b_small of 0.0 and counts them:
+    an active provider at 0.0 fails as one pinned provider too many."""
     factors = _marginal_factors(pairs, c_u, params)
     if factors is None:
         return None  # entering small-cells is infinitely profitable
     price_s, slope_s, price_m, slope_m = factors
-    residuals = []
-    for i, (b_m, b_s) in enumerate(pairs):
+    residuals, n_pinned = [], len(pinned)
+    for b_m, b_s in pairs:
+        # no abs: m_macro >= 0 where every b_m > 0 (slope_m b_m <= alpha); a b_m <= 0 fails
         m_macro = price_m * (1.0 - slope_m * b_m)
-        if i in pinned:
-            gain = price_s - m_macro
-            if gain > 1e-9 * abs(m_macro):
-                return None  # pinned provider wants to enter small-cells
-            residuals.append(max(gain, 0.0))
-        else:
+        if b_s:
             gap = abs(price_s * (1.0 - slope_s * b_s) - m_macro)
-            if b_s <= _PIN_TOL * (b_m + b_s) or b_m <= 0.0 or gap > 1e-9 * abs(m_macro):
+            if b_s <= _PIN_TOL * (b_m + b_s) or b_m <= 0.0 or gap > 1e-9 * m_macro:
                 return None  # not an interior split with equal marginals
             residuals.append(gap)
-    return residuals
+        else:
+            gain = price_s - m_macro
+            if gain > 1e-9 * m_macro:
+                return None  # pinned provider wants to enter small-cells
+            residuals.append(0.0 if 0.0 > gain else gain)  # max(gain, 0.0)
+            n_pinned -= 1
+    return residuals if n_pinned == 0 else None
 
 
 def solve_nash(bandwidths, b_unlicensed: float, params: MarketParams) -> EquilibriumResult:
     """Compute the unique bandwidth-stage Nash equilibrium."""
-    bandwidths = [float(b) for b in bandwidths]
-    if not bandwidths or any(not 0.0 < b < math.inf for b in bandwidths):
+    bandwidths = list(map(float, bandwidths))
+    # builtin passes: min and max may pass over a NaN, but the sum is then NaN
+    b_max, total_b = max(bandwidths, default=math.nan), sum(bandwidths)
+    if not (b_max < math.inf and min(bandwidths) > 0.0 and total_b == total_b):
         raise DomainError("every provider needs strictly positive, finite bandwidth")
     if not 0.0 <= b_unlicensed < math.inf:
         raise DomainError("unlicensed bandwidth must be non-negative and finite")
     c_u = params.lambda_u * b_unlicensed * params.r0
     n = len(bandwidths)
-
-    if c_u >= mne_capacity_bound(bandwidths, params):
-        pinned, pairs = set(range(n)), [(b, 0.0) for b in bandwidths]
-    else:
-        # Providers exit small-cells smallest-bandwidth first.
-        pinned, pairs = _nash_candidate(bandwidths, c_u, params)
+    if c_u >= _capacity_bound(total_b, b_max, params):
+        pinned, pairs = frozenset(range(n)), [(b, 0.0) for b in bandwidths]
+    else:  # providers exit small-cells smallest-bandwidth first
+        pinned, pairs = _nash_candidate(bandwidths, total_b, c_u, params)
     residuals = _check_candidate(pairs, pinned, c_u, params)
     if residuals is None:
-        raise SolverConsistencyError(
-            f"the equilibrium candidate for {n} providers fails its KKT check"
-        )
-    profile = AllocationProfile(pairs, b_unlicensed)
+        raise SolverConsistencyError(f"the equilibrium candidate for {n} providers"
+                                     " fails its KKT check")
+    profile = AllocationProfile._solved(tuple(pairs), float(b_unlicensed))
     outcome = solve_association(profile, params)
     if outcome.regime is not Regime.SEPARATE_SERVICE:
         raise SolverConsistencyError("the equilibrium split clears in the mixed regime")
     cls = (EquilibriumClass.MSNE if not pinned
            else EquilibriumClass.MNE if len(pinned) == n else EquilibriumClass.MPNE)
-    return EquilibriumResult(
-        classification=cls,
-        profile=profile,
-        macro_only_set=frozenset(pinned),
-        outcome=outcome,
-        kkt_residuals=tuple(residuals),
-    )
+    return EquilibriumResult(cls, profile, pinned, outcome, tuple(residuals))
 
 
 def best_response(
@@ -335,9 +334,8 @@ class AsymptoticLimit:
     outcome: AssociationOutcome
 
 
-def asymptotic_limit(
-    B_total: float, b_unlicensed: float, params: MarketParams
-) -> AsymptoticLimit:
+def asymptotic_limit(B_total: float, b_unlicensed: float,
+                     params: MarketParams) -> AsymptoticLimit:
     """Many-provider limit with total licensed bandwidth held at B_total."""
     if not 0.0 <= b_unlicensed < math.inf:
         raise DomainError("unlicensed bandwidth must be non-negative and finite")
@@ -350,7 +348,6 @@ def asymptotic_limit(
         g = params.kappa * params.lambda_s * B_total * params.r0 / k
         b_s = B_total * (1.0 - c_u / k) / (1.0 + g)
         b_m = B_total * (c_u / k + g) / (1.0 + g)
-    outcome = solve_association(
-        AllocationProfile([(b_m, b_s)], b_unlicensed), params
-    )
+    profile = AllocationProfile._solved(((float(b_m), float(b_s)),), float(b_unlicensed))
+    outcome = solve_association(profile, params)
     return AsymptoticLimit(b_small=b_s, b_macro=b_m, outcome=outcome)

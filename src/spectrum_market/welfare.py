@@ -222,8 +222,8 @@ def welfare_sweep(B: float, b_u_grid, series, params: MarketParams) -> WelfareCu
 
 
 def default_grid(B: float, points: int = 201):
-    """Uniform sweep grid on [0, B), inset at the top to keep licensed > 0."""
+    """Uniform sweep grid on [0, B), inset at the top by 5e-7 B to keep licensed > 0."""
     if points < 2:
         raise DomainError(f"a sweep grid needs at least 2 points, got {points}")
-    hi = B - 1e-6
+    hi = B * (1.0 - 5e-7)
     return [hi * k / (points - 1) for k in range(points)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -341,6 +342,41 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "at least 2 points" in captured.err
+
+    # exit codes under a top inset of 1e-6 absolute: 2 at 1e-7 (the top falls
+    # below 0), 0 with every row at b_u = 0 at 1e-6, 2 at 1e11 (the top rounds
+    # to B from 2^34); under an inset of 5e-7 B every band sweeps
+    @pytest.mark.parametrize("band, code", [(1e-7, 0), (1e-6, 0), (1e11, 0)])
+    def test_grid_inset_is_relative_to_the_band(self, tmp_path, capsys, band, code):
+        path = _write(tmp_path, "sweep.json", _scenario(sweep={"total_bandwidth": band, "grid": 21}))
+        assert cli.main(["sweep", "--scenario", path]) == code
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        b_u = [float(row[0]) for row in rows]
+        assert len(set(b_u)) == 21 and b_u[0] == 0.0 and b_u[-1] < band
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[:5])
+
+
+@pytest.mark.parametrize("command, section, patch", [
+    ("planner", {"planner": {"total_bandwidth": 2.0}}, "planner_optimal"),
+    ("sweep", {"sweep": {"total_bandwidth": 2.0, "grid": 5}}, "welfare_sweep"),
+])
+def test_non_finite_report_exits_3(tmp_path, capsys, monkeypatch, command, section, patch):
+    # whatever path puts a NaN or inf into a report, the JSON writer refuses it
+    real = getattr(cli.welfare, patch)
+
+    def poisoned(*args):
+        result = real(*args)
+        if patch == "planner_optimal":
+            return dataclasses.replace(result, welfare=math.inf)
+        result.series["planner"][0] = math.nan
+        return result
+
+    monkeypatch.setattr(cli.welfare, patch, poisoned)
+    path = _write(tmp_path, "s.json", _scenario(**section))
+    assert cli.main([command, "--scenario", path, "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite number" in captured.err
 
 
 class TestSeedFigures:

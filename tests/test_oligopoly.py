@@ -13,7 +13,7 @@ from spectrum_market.core import (
     SolverConsistencyError,
     brentq,
 )
-from spectrum_market.association import AllocationProfile, Regime
+from spectrum_market.association import AllocationProfile, Regime, solve_association
 from spectrum_market.monopoly import optimize_revenue, optimize_welfare, threshold_rev
 from spectrum_market import oligopoly
 from spectrum_market.oligopoly import (
@@ -104,6 +104,16 @@ def test_rejects_negative_unlicensed_bandwidth(solve, base_params):
 def test_rejects_non_finite_bandwidth(solve, base_params):
     with pytest.raises(DomainError, match="finite"):
         solve(base_params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("n, where", [(2, 1), (500, 250), (500, 499)])
+def test_rejects_a_bad_bandwidth_at_any_position(bad, n, where, base_params):
+    # min and max pass over a NaN after the first entry; the check must not
+    bw = [1.0 + 0.01 * i for i in range(n)]
+    bw[where] = bad
+    with pytest.raises(DomainError, match="strictly positive, finite bandwidth"):
+        solve_nash(bw, 0.5, base_params)
 
 
 class TestSolveNash:
@@ -455,6 +465,72 @@ def test_each_pair_sums_to_its_bandwidth(raw, bw):
         for (b_m, b_s), b in zip(res.profile.per_sp, profile_bw):
             assert b_m > 0.0 and b_s >= 0.0
             assert abs(b_m + b_s - b) <= math.ulp(b)
+
+
+@pytest.mark.parametrize("n", [2, 50, 500])
+def test_solved_profile_equals_a_validated_one(n):
+    # solve_nash builds its profile without re-validating it: the result must
+    # be the profile and the outcome that the public constructor gives
+    classes = set()
+    for params, bw, b_u in _large_profiles(n):
+        for b_u in (b_u, int(b_u)):  # an int band comes back as a float
+            res = solve_nash(bw, b_u, params)
+            classes.add(res.classification)
+            profile = AllocationProfile(res.profile.per_sp, b_u)
+            assert res.profile == profile
+            assert all(type(x) is float for pair in res.profile.per_sp for x in pair)
+            assert type(res.profile.per_sp) is tuple and type(res.profile.b_unlicensed) is float
+            assert res.outcome == solve_association(profile, params)
+    assert len(classes) >= 2
+
+
+def test_check_counts_the_providers_at_zero_small_cells(base_params):
+    # the check tells pinned providers by b_small = 0.0: one that is not named
+    # pinned fails as an active provider without small-cells
+    res = solve_nash([0.2, 1.0], 0.8, base_params)
+    assert res.classification is EquilibriumClass.MPNE and res.macro_only_set == {0}
+    c_u = base_params.lambda_u * 0.8 * base_params.r0
+    pairs = list(res.profile.per_sp)
+    assert _check_candidate(pairs, {0}, c_u, base_params) == list(res.kkt_residuals)
+    assert _check_candidate(pairs, set(), c_u, base_params) is None
+
+
+def test_single_pair_solvers_clear_their_validated_profile(base_params):
+    for B, b_u in [(2.0, 0.5), (2, 100), (1e-3, 0)]:
+        for sol in (optimize_revenue(B, b_u, base_params), optimize_welfare(B, b_u, base_params)):
+            profile = AllocationProfile([(sol.b_macro, sol.b_small)], b_u)
+            assert sol.outcome == solve_association(profile, base_params)
+        lim = asymptotic_limit(B, b_u, base_params)
+        profile = AllocationProfile([(lim.b_macro, lim.b_small)], b_u)
+        assert lim.outcome == solve_association(profile, base_params)
+
+
+def test_failures_lie_below_a_macro_small_ratio_of_1e_300():
+    """Near-linear utility (alpha < 0.1) over the benchmark's parameter ranges:
+    every SolverConsistencyError has a b_u = 0 macro/small bandwidth ratio
+    (N_m / N_f) lambda_s^(1 - 1/alpha) below 1e-300, and every draw above it
+    solves."""
+    rng = random.Random(2016)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    failed = []
+    for _ in range(3000):
+        params = MarketParams(
+            alpha=rng.uniform(1e-6, 0.1), n_fixed=log_uniform(0.1, 1e4),
+            n_mobile=log_uniform(0.1, 1e4), r0=log_uniform(0.01, 1e3),
+            lambda_s=1.0 + log_uniform(1e-3, 1e2), lambda_u=log_uniform(1e-3, 1e2),
+        )
+        bw = [log_uniform(0.01, 1e2) for _ in range(rng.choice([2, 5, 50]))]
+        b_u = 0.0 if rng.random() < 0.1 else sum(bw) * log_uniform(1e-4, 1e2)
+        log10_ratio = (math.log10(params.n_mobile / params.n_fixed)
+                       + (1.0 - 1.0 / params.alpha) * math.log10(params.lambda_s))
+        try:
+            solve_nash(bw, b_u, params)
+        except SolverConsistencyError:
+            failed.append(log10_ratio)
+    assert len(failed) >= 10 and max(failed) < -300.0
 
 
 def _scan_every_candidate(bw, b_u, params):
