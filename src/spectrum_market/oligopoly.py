@@ -8,14 +8,20 @@ the individual (b_macro, b_small) splits from the pairwise linear relations.
 The equilibrium is monotone in total bandwidth, so the pinned set is always
 the providers with the least bandwidth: the first set in that order whose
 smallest active provider splits in the interior (else the macro-only
-profile) is the one candidate the KKT check runs on.  The aggregate root also
-serves the single-provider optimizers in ``monopoly``, and ``_exit_capacity``
-is the one closed form of every threshold at which small-cells are abandoned.
+profile) is the one candidate the KKT check runs on.  The search for it does
+not try every pinned count: a set whose smallest active provider fails jumps
+to pinning every bandwidth at or below that set's threshold, where its
+small-cell split crosses 0, and a set without a root moves on by one.  The
+aggregate root also serves the single-provider optimizers in ``monopoly``,
+and ``_exit_capacity`` is the one closed form of every threshold at which
+small-cells are abandoned.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -52,15 +58,26 @@ class EquilibriumResult:
     kkt_residuals: tuple
 
 
+def _checked_bandwidths(bandwidths):
+    """(floats, sum, max) of the providers' bandwidths, each converted by
+    ``float``; DomainError unless all are numbers, positive and finite."""
+    try:
+        bandwidths = list(map(float, bandwidths))
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("every provider's bandwidth must be a number") from None
+    # builtin passes: min and max may pass over a NaN, but the sum is then NaN
+    b_max, total_b = max(bandwidths, default=math.nan), sum(bandwidths)
+    if not (b_max < math.inf and min(bandwidths) > 0.0 and total_b == total_b):
+        raise DomainError("every provider needs strictly positive, finite bandwidth")
+    return bandwidths, total_b, b_max
+
+
 def mne_condition(bandwidths, b_unlicensed: float, params: MarketParams) -> bool:
     """True iff the macro-only profile is the Nash equilibrium."""
-    bandwidths = list(bandwidths)
-    if not bandwidths or any(not 0.0 < b < math.inf for b in bandwidths):
-        raise DomainError("every provider needs strictly positive, finite bandwidth")
+    bound = mne_capacity_bound(bandwidths, params)
     if not 0.0 <= b_unlicensed < math.inf:
         raise DomainError("unlicensed bandwidth must be non-negative and finite")
-    c_u = params.lambda_u * b_unlicensed * params.r0
-    return c_u >= mne_capacity_bound(bandwidths, params)
+    return params.lambda_u * b_unlicensed * params.r0 >= bound
 
 
 def _exit_capacity(B: float, base: float, params: MarketParams) -> float:
@@ -77,7 +94,8 @@ def _exit_capacity(B: float, base: float, params: MarketParams) -> float:
 
 def mne_capacity_bound(bandwidths, params: MarketParams) -> float:
     """Unlicensed capacity at which all providers abandon small-cells."""
-    return _capacity_bound(sum(bandwidths), max(bandwidths), params)
+    _, total_b, b_max = _checked_bandwidths(bandwidths)
+    return _capacity_bound(total_b, b_max, params)
 
 
 def _capacity_bound(total, b_max, params):
@@ -187,31 +205,47 @@ def _nash_candidate(bandwidths, total_b, c_u, params):
     (r_m / r_s)^(alpha + 1).  The smaller of the two is kept and the larger is
     the rest of b_i, so each pair sums to b_i and a macro share far below the
     resolution of b_i (near-linear utility) keeps its precision.
+
+    The pinned count k starts at 0.  A count without a root moves on by one.
+    A count that fails the screen jumps to the number of bandwidths at or
+    below theta = mean_b - (t_s / n) / c, where set k's small-cell line
+    t_s / n + c d crosses 0: its split gives each of them no small-cells.  No
+    proof shows that the jump never passes the first count that screens as
+    interior; it rests on evidence.  It lands on that count on every call of
+    ``test_jump_lands_where_the_walk_stops`` (a walk of one count at a time)
+    and of the benchmark's seeded ``solve_nash`` pools, with the same floats.
+    Wherever it lands, ``solve_nash`` returns the candidate only if it passes
+    the KKT check, and the equilibrium is unique.
     """
     n = len(bandwidths)
     order = sorted(range(n), key=bandwidths.__getitem__)
+    sorted_b = [bandwidths[i] for i in order]
+    pinned_totals = [0.0, *itertools.accumulate(sorted_b)]  # the floats of a running sum
     a, kap, lam_s = params.alpha, params.kappa, params.lambda_s
-    pinned_b = 0.0  # running sum of the pinned, smallest bandwidths
-    for n_pinned, i_min in enumerate(order):
-        n_active = n - n_pinned
+    n_pinned = 0
+    while n_pinned < n:
+        n_active, pinned_b = n - n_pinned, pinned_totals[n_pinned]
         sum_b_active = total_b - pinned_b
         root = _active_root(sum_b_active, pinned_b, n_active - a, c_u, params)
-        if root is not None:
-            t_s, m = root
-            r_s = (kap * lam_s * t_s * params.r0 + c_u) / (kap * params.n_fixed)
-            r_m = (m + pinned_b) * params.r0 / params.n_mobile
-            x = lam_s ** 2 * (params.n_mobile / params.n_fixed) * (r_m / r_s) ** (a + 1.0)
-            split = (sum_b_active / n_active, t_s / n_active, m / n_active,
-                     1.0 / (1.0 + x), x / (1.0 + x))
-            b_min = bandwidths[i_min]
-            ((m_min, s_min),) = _active_pairs((b_min,), *split)
-            # the first set whose smallest active provider screens as interior
-            if s_min > _PIN_TOL * b_min and m_min > 0.0:
-                pairs = _active_pairs(bandwidths, *split)  # the pinned are reset below
-                for i in order[:n_pinned]:
-                    pairs[i] = (bandwidths[i], 0.0)
-                return frozenset(order[:n_pinned]), pairs
-        pinned_b += bandwidths[i_min]
+        if root is None:
+            n_pinned += 1
+            continue
+        t_s, m = root
+        r_s = (kap * lam_s * t_s * params.r0 + c_u) / (kap * params.n_fixed)
+        r_m = (m + pinned_b) * params.r0 / params.n_mobile
+        x = lam_s ** 2 * (params.n_mobile / params.n_fixed) * (r_m / r_s) ** (a + 1.0)
+        mean_b, small, _, c, _ = split = (
+            sum_b_active / n_active, t_s / n_active, m / n_active, 1.0 / (1.0 + x), x / (1.0 + x))
+        b_min = sorted_b[n_pinned]
+        ((m_min, s_min),) = _active_pairs((b_min,), *split)
+        # the first set whose smallest active provider screens as interior
+        if s_min > _PIN_TOL * b_min and m_min > 0.0:
+            pairs = _active_pairs(bandwidths, *split)  # the pinned are reset below
+            for i in order[:n_pinned]:
+                pairs[i] = (bandwidths[i], 0.0)
+            return frozenset(order[:n_pinned]), pairs
+        theta = mean_b - small / c if c > 0.0 else -math.inf  # c is 0 or NaN if X overflows
+        n_pinned = max(n_pinned + 1, bisect.bisect_right(sorted_b, theta))
     return frozenset(order), [(b, 0.0) for b in bandwidths]
 
 
@@ -259,11 +293,7 @@ def _check_candidate(pairs, pinned, c_u, params):
 
 def solve_nash(bandwidths, b_unlicensed: float, params: MarketParams) -> EquilibriumResult:
     """Compute the unique bandwidth-stage Nash equilibrium."""
-    bandwidths = list(map(float, bandwidths))
-    # builtin passes: min and max may pass over a NaN, but the sum is then NaN
-    b_max, total_b = max(bandwidths, default=math.nan), sum(bandwidths)
-    if not (b_max < math.inf and min(bandwidths) > 0.0 and total_b == total_b):
-        raise DomainError("every provider needs strictly positive, finite bandwidth")
+    bandwidths, total_b, b_max = _checked_bandwidths(bandwidths)
     if not 0.0 <= b_unlicensed < math.inf:
         raise DomainError("unlicensed bandwidth must be non-negative and finite")
     c_u = params.lambda_u * b_unlicensed * params.r0

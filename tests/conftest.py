@@ -36,6 +36,20 @@ def random_params(rng: random.Random) -> MarketParams:
     )
 
 
+def wide_params(rng: random.Random, alpha: float) -> MarketParams:
+    """MarketParams at ``alpha`` with the rest drawn log-uniformly over wide
+    magnitudes: user masses 0.1 to 1e4, r0 0.01 to 1e3, lambda_s - 1 and
+    lambda_u 1e-3 to 1e2."""
+    return MarketParams(
+        alpha=alpha,
+        n_fixed=10 ** rng.uniform(-1, 4),
+        n_mobile=10 ** rng.uniform(-1, 4),
+        r0=10 ** rng.uniform(-2, 3),
+        lambda_s=1.0 + 10 ** rng.uniform(-3, 2),
+        lambda_u=10 ** rng.uniform(-3, 2),
+    )
+
+
 def single_provider_draws(seed: int, count: int):
     """(B, b_u, params): the four figure parameter sets at B = 2, then
     ``count`` seeded draws over wide magnitudes, every third with alpha < 0.1
@@ -46,13 +60,7 @@ def single_provider_draws(seed: int, count: int):
             yield 2.0, b_u, params
     rng = random.Random(seed)
     for k in range(count):
-        params = MarketParams(
-            alpha=rng.uniform(0.005, 0.1) if k % 3 == 0 else rng.uniform(0.1, 0.95),
-            n_fixed=10 ** rng.uniform(-1, 4),
-            n_mobile=10 ** rng.uniform(-1, 4),
-            r0=10 ** rng.uniform(-2, 3),
-            lambda_s=1.0 + 10 ** rng.uniform(-3, 2),
-            lambda_u=10 ** rng.uniform(-3, 2),
-        )
+        params = wide_params(
+            rng, rng.uniform(0.005, 0.1) if k % 3 == 0 else rng.uniform(0.1, 0.95))
         B = 10 ** rng.uniform(-2, 2)
         yield B, rng.choice([0.0, B * 10 ** rng.uniform(-4, 2)]), params

@@ -18,8 +18,10 @@ from spectrum_market.monopoly import optimize_revenue, optimize_welfare, thresho
 from spectrum_market import oligopoly
 from spectrum_market.oligopoly import (
     EquilibriumClass,
+    _active_pairs,
     _active_root,
     _check_candidate,
+    _nash_candidate,
     _residual,
     asymptotic_limit,
     best_response,
@@ -29,7 +31,7 @@ from spectrum_market.oligopoly import (
     symmetric_equilibrium,
 )
 
-from conftest import random_params, single_provider_draws
+from conftest import random_params, single_provider_draws, wide_params
 
 
 def _b_u_for_capacity(c_u, params):
@@ -114,6 +116,26 @@ def test_rejects_a_bad_bandwidth_at_any_position(bad, n, where, base_params):
     bw[where] = bad
     with pytest.raises(DomainError, match="strictly positive, finite bandwidth"):
         solve_nash(bw, 0.5, base_params)
+
+
+@pytest.mark.parametrize("entry", ["2", None, "x", math.nan, math.inf, 0, -1])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_mne_condition_validates_like_solve_nash(entry, where, base_params):
+    # all three take what float() takes, and reject the rest with DomainError
+    bw = [1.0, 1.5, 2.0]
+    bw[where] = entry
+    calls = (lambda bw: solve_nash(bw, 0.5, base_params),
+             lambda bw: mne_condition(bw, 0.5, base_params),
+             lambda bw: mne_capacity_bound(bw, base_params))
+    if entry == "2":
+        as_float = [1.0, 1.5, 2.0]
+        as_float[where] = 2.0
+        for call in calls:
+            assert call(bw) == call(as_float)
+        return
+    for call in calls:
+        with pytest.raises(DomainError):
+            call(bw)
 
 
 class TestSolveNash:
@@ -517,11 +539,7 @@ def test_failures_lie_below_a_macro_small_ratio_of_1e_300():
 
     failed = []
     for _ in range(3000):
-        params = MarketParams(
-            alpha=rng.uniform(1e-6, 0.1), n_fixed=log_uniform(0.1, 1e4),
-            n_mobile=log_uniform(0.1, 1e4), r0=log_uniform(0.01, 1e3),
-            lambda_s=1.0 + log_uniform(1e-3, 1e2), lambda_u=log_uniform(1e-3, 1e2),
-        )
+        params = wide_params(rng, rng.uniform(1e-6, 0.1))
         bw = [log_uniform(0.01, 1e2) for _ in range(rng.choice([2, 5, 50]))]
         b_u = 0.0 if rng.random() < 0.1 else sum(bw) * log_uniform(1e-4, 1e2)
         log10_ratio = (math.log10(params.n_mobile / params.n_fixed)
@@ -585,6 +603,103 @@ def test_nash_scan_checks_exactly_one_candidate(monkeypatch):
         assert len(checks) == 1
         pinned_most += len(res.macro_only_set) > len(bw) // 2
     assert pinned_most >= 1
+
+
+def _walk_candidate(bw, total_b, c_u, params):
+    """``_nash_candidate`` one pinned count at a time: a root for every count
+    up to the first whose smallest active provider screens as interior."""
+    n, a, kap, lam_s = len(bw), params.alpha, params.kappa, params.lambda_s
+    order = sorted(range(n), key=bw.__getitem__)
+    pinned_b = 0.0
+    for k, i_min in enumerate(order):
+        sum_b_active = total_b - pinned_b
+        root = _active_root(sum_b_active, pinned_b, n - k - a, c_u, params)
+        if root is not None:
+            t_s, m = root
+            r_s = (kap * lam_s * t_s * params.r0 + c_u) / (kap * params.n_fixed)
+            r_m = (m + pinned_b) * params.r0 / params.n_mobile
+            x = lam_s ** 2 * (params.n_mobile / params.n_fixed) * (r_m / r_s) ** (a + 1.0)
+            split = (sum_b_active / (n - k), t_s / (n - k), m / (n - k),
+                     1.0 / (1.0 + x), x / (1.0 + x))
+            ((m_min, s_min),) = _active_pairs((bw[i_min],), *split)
+            if s_min > oligopoly._PIN_TOL * bw[i_min] and m_min > 0.0:
+                pairs = _active_pairs(bw, *split)
+                for i in order[:k]:
+                    pairs[i] = (bw[i], 0.0)
+                return frozenset(order[:k]), pairs
+        pinned_b += bw[i_min]
+    return frozenset(order), [(b, 0.0) for b in bw]
+
+
+def _wide_profiles(n, count, seed):
+    """Seeded profiles over wide magnitudes, a tenth at alpha < 0.1, with
+    unlicensed capacity from none to just under the MNE bound."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for k in range(count):
+        params = wide_params(
+            rng, rng.uniform(1e-6, 0.1) if k % 10 == 0 else rng.uniform(0.1, 1.0 - 1e-6))
+        bw = [log_uniform(0.01, 1e2) for _ in range(n)]
+        share = rng.choice([0.0, rng.random(), rng.uniform(0.9, 1.0)])
+        yield params, bw, _b_u_for_capacity(share * mne_capacity_bound(bw, params), params)
+
+
+@pytest.mark.parametrize("n", [50, 500])
+def test_jump_lands_where_the_walk_stops(n):
+    # the jump skips only pinned counts that the walk would reject: the same
+    # pinned set and the same pairs, bit for bit
+    draws = [*_large_profiles(n), *_wide_profiles(n, 60 if n == 50 else 12, 35 + n)]
+    jumped = 0
+    for params, bw, b_u in draws:
+        c_u = params.lambda_u * b_u * params.r0
+        outcomes = []
+        for candidate in (_nash_candidate, _walk_candidate):
+            try:
+                pinned, pairs = candidate(bw, sum(bw), c_u, params)
+                outcomes.append((sorted(pinned), repr(pairs)))
+            except ArithmeticError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        jumped += len(outcomes[0][0]) >= 2
+    assert jumped >= len(draws) // 2  # most draws pin two or more providers
+
+
+def test_jump_steps_by_one_where_the_pair_slope_overflows():
+    # with nothing pinned X overflows to inf, so c = 1 / (1 + X) is 0 and the
+    # threshold is undefined: the count moves on by one, as in the walk
+    params = MarketParams(alpha=0.6291330970364477, n_fixed=4.229766954757141e66,
+                          n_mobile=5.651372054470625e144, r0=8.507314137081828e-93,
+                          lambda_s=4.8686721395842357e120, lambda_u=2.2310240326278186e-70)
+    bw = [3.074102792538452e-76, 2.0838299331381735e69, 7.120284401706862e51]
+    c_u = 3.820500618055692e90
+    pinned, pairs = _nash_candidate(bw, sum(bw), c_u, params)
+    walk_pinned, walk_pairs = _walk_candidate(bw, sum(bw), c_u, params)
+    assert pinned == walk_pinned == {0, 2} and repr(pairs) == repr(walk_pairs)
+
+
+def test_jump_takes_few_roots_near_the_bound(monkeypatch):
+    # the walk takes one root more than the pinned count (up to 472 here);
+    # a count without a root still advances by one, so only solves whose
+    # roots all exist are bounded
+    roots = []
+
+    def counted(*args):
+        roots.append(real(*args))
+        return roots[-1]
+
+    real = oligopoly._active_root
+    monkeypatch.setattr(oligopoly, "_active_root", counted)
+    bounded = 0
+    for params, bw, b_u in _large_profiles(500):
+        roots.clear()
+        res = solve_nash(bw, b_u, params)
+        if None not in roots:
+            assert len(roots) <= 8
+            bounded += len(res.macro_only_set) >= 400
+    assert bounded >= 2
 
 
 class TestBestResponse:
