@@ -5,8 +5,8 @@ full band is used, so the optimum is the macro-only boundary when the
 unlicensed capacity exceeds a closed-form threshold, and otherwise the
 unique first-order root on (0, B).  That root is the one-provider case of
 the bandwidth game's, found by ``oligopoly._active_root`` with the objective
-as its weight, and both thresholds are ``oligopoly._exit_capacity`` with the
-objective's base.
+as its weight.  Both thresholds are ``oligopoly._exit_capacity``, the revenue
+one as ``oligopoly._capacity_bound`` of a provider holding the whole band.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DomainError, MarketParams, SolverConsistencyError, brentq
-from .oligopoly import _active_root, _exit_capacity
+from .oligopoly import _active_root, _capacity_bound, _exit_capacity
 from .association import (
     AllocationProfile,
     AssociationOutcome,
@@ -48,7 +48,7 @@ def beta_tilde(params: MarketParams) -> float:
 
 def threshold_rev(B: float, params: MarketParams) -> float:
     """Unlicensed capacity above which a revenue maximizer abandons small-cells."""
-    return _exit_capacity(B, params.lambda_s / (1.0 - params.alpha), params)
+    return _capacity_bound(B, B, params)
 
 
 def threshold_sw(B: float, params: MarketParams) -> float:
@@ -57,9 +57,7 @@ def threshold_sw(B: float, params: MarketParams) -> float:
 
 
 def _solve(B, b_unlicensed, params, objective) -> MonopolySolution:
-    if not 0.0 < B < math.inf:
-        raise DomainError("total bandwidth must be positive and finite")
-    if not 0.0 <= b_unlicensed < math.inf:
+    if not 0.0 <= b_unlicensed < math.inf:  # a bad B raises in the threshold
         raise DomainError("unlicensed bandwidth must be non-negative and finite")
     c_u = params.lambda_u * b_unlicensed * params.r0
     if objective is Objective.REVENUE:

@@ -11,10 +11,10 @@ smallest active provider splits in the interior (else the macro-only
 profile) is the one candidate the KKT check runs on.  The search for it does
 not try every pinned count: a set whose smallest active provider fails jumps
 to pinning every bandwidth at or below that set's threshold, where its
-small-cell split crosses 0, and a set without a root moves on by one.  The
-aggregate root also serves the single-provider optimizers in ``monopoly``,
-and ``_exit_capacity`` is the one closed form of every threshold at which
-small-cells are abandoned.
+small-cell split crosses 0, and a set without a root moves on by one block of
+equal bandwidths, which get equal pairs.  The aggregate root also serves the
+single-provider optimizers in ``monopoly``, and ``_exit_capacity`` is the one
+closed form of every threshold at which small-cells are abandoned.
 """
 
 from __future__ import annotations
@@ -99,7 +99,9 @@ def mne_capacity_bound(bandwidths, params: MarketParams) -> float:
 
 
 def _capacity_bound(total, b_max, params):
-    return _exit_capacity(total, params.lambda_s / (1.0 - params.alpha * (b_max / total)), params)
+    """``_exit_capacity`` of revenue maximizers: base lambda_s / (1 - alpha b_max / total)."""
+    share = b_max / total if total else 0.0  # a total of 0 raises in _exit_capacity
+    return _exit_capacity(total, params.lambda_s / (1.0 - params.alpha * share), params)
 
 
 def _log_macro_floor(params):
@@ -206,16 +208,17 @@ def _nash_candidate(bandwidths, total_b, c_u, params):
     the rest of b_i, so each pair sums to b_i and a macro share far below the
     resolution of b_i (near-linear utility) keeps its precision.
 
-    The pinned count k starts at 0.  A count without a root moves on by one.
-    A count that fails the screen jumps to the number of bandwidths at or
-    below theta = mean_b - (t_s / n) / c, where set k's small-cell line
-    t_s / n + c d crosses 0: its split gives each of them no small-cells.  No
-    proof shows that the jump never passes the first count that screens as
-    interior; it rests on evidence.  It lands on that count on every call of
-    ``test_jump_lands_where_the_walk_stops`` (a walk of one count at a time)
-    and of the benchmark's seeded ``solve_nash`` pools, with the same floats.
-    Wherever it lands, ``solve_nash`` returns the candidate only if it passes
-    the KKT check, and the equilibrium is unique.
+    The pinned count k starts at 0.  A count without a root pins every
+    bandwidth equal to b_min, its smallest active one.  A count that fails the
+    screen pins every bandwidth at or below max(b_min, theta), where set k's
+    small-cell line t_s / n + c d crosses 0 at theta = mean_b - (t_s / n) / c.
+    So equal bandwidths are pinned together: the unique equilibrium gives them
+    equal pairs.  No proof shows that the jump never passes the first count
+    that screens as interior; it rests on evidence.  It lands on that count
+    on every call of ``test_jump_lands_where_the_walk_stops`` (a walk of one
+    count at a time) and of the benchmark's seeded ``solve_nash`` pools, with
+    the same floats.  Wherever it lands, ``solve_nash`` returns the candidate
+    only if it passes the KKT check, and the equilibrium is unique.
     """
     n = len(bandwidths)
     order = sorted(range(n), key=bandwidths.__getitem__)
@@ -228,7 +231,7 @@ def _nash_candidate(bandwidths, total_b, c_u, params):
         sum_b_active = total_b - pinned_b
         root = _active_root(sum_b_active, pinned_b, n_active - a, c_u, params)
         if root is None:
-            n_pinned += 1
+            n_pinned = bisect.bisect_right(sorted_b, sorted_b[n_pinned])
             continue
         t_s, m = root
         r_s = (kap * lam_s * t_s * params.r0 + c_u) / (kap * params.n_fixed)
@@ -245,7 +248,7 @@ def _nash_candidate(bandwidths, total_b, c_u, params):
                 pairs[i] = (bandwidths[i], 0.0)
             return frozenset(order[:n_pinned]), pairs
         theta = mean_b - small / c if c > 0.0 else -math.inf  # c is 0 or NaN if X overflows
-        n_pinned = max(n_pinned + 1, bisect.bisect_right(sorted_b, theta))
+        n_pinned = bisect.bisect_right(sorted_b, max(b_min, theta))
     return frozenset(order), [(b, 0.0) for b in bandwidths]
 
 
@@ -370,7 +373,7 @@ def asymptotic_limit(B_total: float, b_unlicensed: float,
     if not 0.0 <= b_unlicensed < math.inf:
         raise DomainError("unlicensed bandwidth must be non-negative and finite")
     c_u = params.lambda_u * b_unlicensed * params.r0
-    k = _exit_capacity(B_total, params.lambda_s, params)
+    k = _capacity_bound(B_total, 0.0, params)
     if c_u >= k:
         b_s, b_m = 0.0, B_total
     else:

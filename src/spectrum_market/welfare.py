@@ -36,6 +36,9 @@ DEFAULT_SERIES = (
     SERIES_DUOPOLY,
     SERIES_PERFECT_COMPETITION,
 )
+_REVENUE_MARKETS = {SERIES_MONOPOLY_REVENUE: 1, SERIES_DUOPOLY: 2,
+                    SERIES_PERFECT_COMPETITION: math.inf}  # label -> number of providers
+_SPLIT_GRID = 401  # optimal_split's search grid, before golden-section refinement
 
 
 class PlannerCase(enum.Enum):
@@ -117,26 +120,28 @@ def alpha_efficiency_threshold(params: MarketParams) -> float:
     return brentq(f, ALPHA_MIN, ALPHA_MAX, xtol=1e-14)
 
 
+def _revenue_market(n, b_l, b_u, params):
+    """Outcome of n equal revenue maximizers on b_l licensed; n = inf is the limit."""
+    if n == 1:
+        return monopoly.optimize_revenue(b_l, b_u, params).outcome
+    if n < math.inf:
+        return oligopoly.symmetric_equilibrium(n, b_l / n, b_u, params).outcome
+    return oligopoly.asymptotic_limit(b_l, b_u, params).outcome
+
+
 def market_welfare(B: float, b_u: float, n_sps, params: MarketParams,
                    series: str = SERIES_MONOPOLY_REVENUE) -> float:
-    """Welfare when b_u is unlicensed and B - b_u is split equally among SPs."""
-    b_l = B - b_u
+    """Welfare of ``series`` with b_u unlicensed; ``n_sps`` is unused, as the series fixes n."""
     if series == SERIES_PLANNER:
         return planner_optimal(B, params).welfare
-    if series == SERIES_MONOPOLY_REVENUE:
-        return monopoly.optimize_revenue(b_l, b_u, params).outcome.social_welfare
     if series == SERIES_MONOPOLY_WELFARE:
-        return monopoly.optimize_welfare(b_l, b_u, params).outcome.social_welfare
-    if series == SERIES_DUOPOLY:
-        eq = oligopoly.symmetric_equilibrium(2, b_l / 2.0, b_u, params)
-        return eq.outcome.social_welfare
-    if series == SERIES_PERFECT_COMPETITION:
-        return oligopoly.asymptotic_limit(b_l, b_u, params).outcome.social_welfare
-    raise DomainError(f"unknown series {series!r}")
+        return monopoly.optimize_welfare(B - b_u, b_u, params).outcome.social_welfare
+    if series not in _REVENUE_MARKETS:
+        raise DomainError(f"unknown series {series!r}")
+    return _revenue_market(_REVENUE_MARKETS[series], B - b_u, b_u, params).social_welfare
 
 
-def optimal_split(B: float, n_sps: int, params: MarketParams,
-                  grid_points: int = 401):
+def optimal_split(B: float, n_sps, params: MarketParams):
     """Best licensed/unlicensed division under market behavior.
 
     Returns (b_licensed, b_unlicensed, efficient) where ``efficient`` says the
@@ -144,18 +149,14 @@ def optimal_split(B: float, n_sps: int, params: MarketParams,
     """
     if not 0.0 < B < math.inf:
         raise DomainError("total bandwidth must be positive and finite")
-    if n_sps < 1:
+    if not n_sps >= 1:
         raise DomainError("need at least one provider")
 
     def welfare_at(b_u):
-        b_l = B - b_u
-        if n_sps == 1:
-            return monopoly.optimize_revenue(b_l, b_u, params).outcome.social_welfare
-        eq = oligopoly.symmetric_equilibrium(n_sps, b_l / n_sps, b_u, params)
-        return eq.outcome.social_welfare
+        return _revenue_market(n_sps, B - b_u, b_u, params).social_welfare
 
     b_u_star, x_grid, w_grid = grid_golden_max(
-        welfare_at, B * (1.0 - 1e-9), grid_points, 1e-9 * B
+        welfare_at, B * (1.0 - 1e-9), _SPLIT_GRID, 1e-9 * B
     )
     w_star = welfare_at(b_u_star)
     # the grid endpoints (notably b_u = 0) may beat the refined interior point
@@ -175,21 +176,19 @@ def find_kink(series: str, B: float, params: MarketParams) -> float | None:
 
     Each series' exit threshold is linear in the licensed bandwidth,
     K (B - b_u), so the kink solves c b_u = K (B - b_u) with c the unlicensed
-    capacity per unit bandwidth: b* = K B / (c + K).  K is
-    ``oligopoly._exit_capacity`` at unit bandwidth with the series' base.
-    None where providers never abandon small-cells on [0, B).
+    capacity per unit bandwidth: b* = K B / (c + K).  K is ``threshold_sw`` or,
+    for n revenue maximizers, ``oligopoly._capacity_bound`` with share 1 / n,
+    at unit bandwidth.  None where providers never abandon small-cells on [0, B).
     """
-    a, lam_s = params.alpha, params.lambda_s
-    bases = {
-        SERIES_MONOPOLY_REVENUE: lam_s / (1.0 - a),
-        SERIES_MONOPOLY_WELFARE: (a + 1.0) * lam_s,
-        SERIES_DUOPOLY: lam_s / (1.0 - a * 0.5),
-        SERIES_PERFECT_COMPETITION: lam_s,
-    }
-    if series not in bases:
+    if not 0.0 < B < math.inf:
+        raise DomainError("total bandwidth must be positive and finite")
+    if series == SERIES_MONOPOLY_WELFARE:
+        k = monopoly.threshold_sw(1.0, params)
+    elif series in _REVENUE_MARKETS:
+        k = oligopoly._capacity_bound(1.0, 1.0 / _REVENUE_MARKETS[series], params)
+    else:
         return None
     c = params.lambda_u * params.r0
-    k = oligopoly._exit_capacity(1.0, bases[series], params)
     b_star = k * B / (c + k)  # NaN, hence None, where K overflows to inf
     return b_star if b_star < B * (1.0 - 1e-12) else None
 
@@ -203,14 +202,14 @@ class WelfareCurve:
 
 def welfare_sweep(B: float, b_u_grid, series, params: MarketParams) -> WelfareCurve:
     """Evaluate welfare for each scenario over a grid of unlicensed slices."""
+    planner = planner_optimal(B, params).welfare  # checks 0 < B < inf; constant in b_u
     grid = tuple(float(x) for x in b_u_grid)
     if any(not 0.0 <= x < B for x in grid):
         raise DomainError("grid points must lie in [0, B)")
     for label in series:
         if label not in ALL_SERIES:
             raise DomainError(f"unknown series {label!r}")
-    # the planner's welfare does not depend on b_u: one solve fills its series
-    values = {label: [planner_optimal(B, params).welfare] * len(grid) if label == SERIES_PLANNER
+    values = {label: [planner] * len(grid) if label == SERIES_PLANNER
               else [market_welfare(B, b_u, None, params, series=label) for b_u in grid]
               for label in series}
     kinks = {

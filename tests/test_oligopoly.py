@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -682,8 +683,8 @@ def test_jump_steps_by_one_where_the_pair_slope_overflows():
 
 def test_jump_takes_few_roots_near_the_bound(monkeypatch):
     # the walk takes one root more than the pinned count (up to 472 here);
-    # a count without a root still advances by one, so only solves whose
-    # roots all exist are bounded
+    # a count without a root still advances by one block of equal bandwidths,
+    # so only solves whose roots all exist are bounded
     roots = []
 
     def counted(*args):
@@ -700,6 +701,38 @@ def test_jump_takes_few_roots_near_the_bound(monkeypatch):
             assert len(roots) <= 8
             bounded += len(res.macro_only_set) >= 400
     assert bounded >= 2
+
+
+def test_equal_bandwidths_get_equal_pairs_just_below_the_bound():
+    # the equilibrium is unique, so equal bandwidths get equal pairs: just
+    # below the MNE bound no equal-share profile splits into pinned and
+    # active providers
+    rng = random.Random(41)
+    classes = collections.Counter()
+    for k in range(300):
+        params = wide_params(rng, rng.uniform(0.005, 0.1) if k % 3 == 0 else rng.uniform(0.1, 0.95))
+        bw = [10 ** rng.uniform(-2, 2)] * rng.choice([2, 3, 8, 50])
+        c_u = (1 - 1e-9) * mne_capacity_bound(bw, params)
+        res = solve_nash(bw, _b_u_for_capacity(c_u, params), params)
+        assert len(set(res.profile.per_sp)) == 1
+        classes[res.classification] += 1
+    assert EquilibriumClass.MPNE not in classes
+    assert classes[EquilibriumClass.MNE] >= 50 and classes[EquilibriumClass.MSNE] >= 100
+
+
+def test_a_count_without_a_root_pins_the_block_of_equal_bandwidths(monkeypatch, base_params):
+    pinned_totals = []
+
+    def no_root_at_first(sum_b_active, pinned_b, *args):
+        pinned_totals.append(pinned_b)
+        return None if pinned_b == 0.0 else real(sum_b_active, pinned_b, *args)
+
+    real = oligopoly._active_root
+    monkeypatch.setattr(oligopoly, "_active_root", no_root_at_first)
+    bw = [1.0, 3.0, 1.0, 1.0]
+    pinned, pairs = _nash_candidate(bw, sum(bw), 0.0, base_params)
+    assert pinned_totals == [0.0, 3.0]  # from no provider pinned to all three of 1.0
+    assert pinned == {0, 2, 3} and pairs[0] == pairs[2] == pairs[3] == (1.0, 0.0)
 
 
 class TestBestResponse:

@@ -1,4 +1,8 @@
+import gzip
+import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -93,24 +97,25 @@ class TestAlphaThreshold:
 class TestOptimalSplit:
     def test_case_a_all_licensed_efficient(self, base_params):
         for n in (1, 2):
-            b_l, b_u, efficient = optimal_split(2.0, n, base_params, grid_points=101)
+            b_l, b_u, efficient = optimal_split(2.0, n, base_params)
             assert b_u == 0.0
             assert b_l == pytest.approx(2.0)
             assert efficient
 
     def test_case_b_monopoly_high_alpha_unique_optimum(self):
         params = _params(0.8, 4.0)
-        b_l, b_u, efficient = optimal_split(2.0, 1, params, grid_points=101)
+        b_l, b_u, efficient = optimal_split(2.0, 1, params)
         assert b_u == 0.0
         assert efficient
 
     def test_case_cp_monopoly_inefficient(self):
-        _, _, efficient = optimal_split(2.0, 1, CASE_CP, grid_points=101)
+        _, _, efficient = optimal_split(2.0, 1, CASE_CP)
         assert not efficient
 
-    def test_rejects_one_point_grid(self, base_params):
-        with pytest.raises(DomainError, match="at least 2 points"):
-            optimal_split(2.0, 1, base_params, grid_points=1)
+    @pytest.mark.parametrize("n", [0, -1, math.nan])
+    def test_rejects_fewer_than_one_provider(self, base_params, n):
+        with pytest.raises(DomainError, match="at least one provider"):
+            optimal_split(2.0, n, base_params)
 
 
 class TestKinks:
@@ -169,6 +174,39 @@ class TestKinks:
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
                     counts["kink"] += 1
         assert counts["kink"] >= 1000 and counts["none"] >= 10
+
+
+@pytest.mark.parametrize("B", [-2.0, 0.0, math.nan, math.inf])
+def test_kink_and_sweep_reject_a_bad_band(B, base_params):
+    for series in ALL_SERIES:
+        with pytest.raises(DomainError, match="positive and finite"):
+            find_kink(series, B, base_params)
+    for series in ([], list(ALL_SERIES)):  # with an empty grid nothing else checks B
+        with pytest.raises(DomainError, match="positive and finite"):
+            welfare_sweep(B, [], series, base_params)
+
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
+
+
+def test_splits_and_kinks_match_the_benchmark_reference():
+    # the benchmark's rule: equal, or within 1e-12 relative
+    def close(got, want):
+        return got == want or (isinstance(want, float) and got is not None
+                               and abs(got - want) <= 1e-12 * max(abs(got), abs(want)))
+
+    figures = json.loads((REFERENCE_DIR / "figures.json").read_text())["figures"]
+    with gzip.open(REFERENCE_DIR / "welfare_warm.json.gz", "rt") as fh:
+        reference = json.load(fh)["figures"]
+    for fig, want in reference.items():
+        scenario = figures[fig]["scenario"]
+        params, B = MarketParams(**scenario["params"]), scenario["sweep"]["total_bandwidth"]
+        for series, kink in want["sweep"]["kinks"].items():
+            assert close(find_kink(series, B, params), kink), (fig, series)
+        for n, split in want["optimal_split"].items():
+            got = optimal_split(B, int(n), params)
+            assert all(map(close, got, split)), (fig, n, got, split)
+    assert sorted(reference) == ["fig3", "fig4", "fig5"]
 
 
 def test_near_zero_alpha_answers_or_raises_a_model_error():
